@@ -7,8 +7,8 @@
 //
 //   ./build/examples/live_serving --listen=0 --admin-port=0 &   # x3, note
 //                                                               # the ports
-//   ./build/examples/cluster_router \
-//       --nodes=9001:8001,9002:8002,9003:8003 --policy=queue-delay
+//   NODES=9001:8001,9002:8002,9003:8003
+//   ./build/examples/cluster_router --nodes=$NODES --policy=queue-delay
 //   ./build/examples/live_serving --connect=<router port> --rate=400
 //
 // --nodes is a comma-separated list of PORT or PORT:ADMIN_PORT pairs; an

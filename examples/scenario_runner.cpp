@@ -3,8 +3,8 @@
 // the "do your own experiment" entry point.
 //
 //   ./build/examples/scenario_runner --scheme=arlo --gpus=10 --rate=1000
-//   ./build/examples/scenario_runner --scheme=st,dt,arlo --pattern=bursty \
-//       --model=bert-large --slo_ms=450 --autoscale --csv
+//   ARGS="--pattern=bursty --model=bert-large --slo_ms=450 --autoscale --csv"
+//   ./build/examples/scenario_runner --scheme=st,dt,arlo $ARGS
 //
 // Flags: --scheme (comma list: arlo, arlo-ilb, arlo-ig, st, dt, infaas),
 // --model (bert-base|bert-large|roberta-large|distilbert), --gpus, --rate,

@@ -392,11 +392,11 @@ if [[ "$run_tsan" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== Address+UBSanitizer (net protocol + loopback) =="
+  echo "== Address+UBSanitizer (net protocol + loopback + router) =="
   cmake -B build-asan -S . -DARLO_ASAN=ON >/dev/null
   cmake --build build-asan -j "$(nproc)" --target arlo_tests
   ./build-asan/tests/arlo_tests \
-    --gtest_filter='NetProtocol*:NetClient.*:Admission.*:NetLoopback.*:TestbedBatching.*:GenerativeTestbed.*:ObsAdmin*:ObsHttp.*:ClusterPolicy.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*'
+    --gtest_filter='NetProtocol*:NetClient.*:Admission.*:NetLoopback.*:TestbedBatching.*:GenerativeTestbed.*:ObsAdmin*:ObsHttp.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*'
 fi
 
 echo "== check.sh: all green =="

@@ -1,5 +1,7 @@
 #include "cluster/node_pool.h"
 
+#include <algorithm>
+
 #include "telemetry/sink.h"
 
 namespace arlo::cluster {
@@ -108,7 +110,7 @@ bool NodePool::Drain(int node) {
     return false;
   }
   if (config_.sink) config_.sink->RecordClusterDrain(node);
-  FinishDrainIfIdle(node);
+  FinishDrainIfIdle(n);
   return true;
 }
 
@@ -133,34 +135,53 @@ void NodePool::Stop() {
   }
 }
 
-bool NodePool::Send(int node, const net::SubmitRequest& request) {
+bool NodePool::Reserve(int node) {
   Node* slot = GetNode(node);
   if (!slot) return false;
   Node& n = *slot;
-  if (LoadState(n.state) != NodeState::kHealthy) return false;
-  // Count before writing so the in-flight balance can never dip negative
-  // against a fast reply; undone on failure.
+  // Count first, then check: a Drain racing this either sees the count and
+  // keeps the connection open, or is seen here and the count is undone.
   n.inflight.fetch_add(1, std::memory_order_acq_rel);
-  bool failed = false;
+  if (LoadState(n.state) == NodeState::kHealthy) return true;
+  Release(n, 1);
+  return false;
+}
+
+bool NodePool::SendFrames(int node, const std::vector<std::uint8_t>& bytes,
+                          int count) {
+  Node* slot = GetNode(node);
+  if (!slot) return false;
+  Node& n = *slot;
+  bool sent = false;
+  bool write_failed = false;
   {
     std::lock_guard send_lock(n.send_mu);
-    if (!n.conn.Connected()) {
-      failed = true;
-    } else {
+    const NodeState state = LoadState(n.state);
+    const bool writable =
+        state == NodeState::kHealthy || state == NodeState::kDraining;
+    if (writable && n.conn.Connected()) {
       try {
-        n.conn.Send(request);
+        n.conn.SendEncoded(bytes);
+        sent = true;
       } catch (const std::exception&) {
-        failed = true;
+        write_failed = true;
       }
     }
   }
-  if (failed) {
-    n.inflight.fetch_sub(1, std::memory_order_acq_rel);
-    HandleDown(node);  // outside send_mu: HandleDown re-acquires it
-    return false;
+  if (sent) {
+    n.routed.fetch_add(count, std::memory_order_relaxed);
+    return true;
   }
-  n.routed.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  Release(n, count);
+  if (write_failed) HandleDown(node);  // outside send_mu: it re-acquires it
+  return false;
+}
+
+bool NodePool::Send(int node, const net::SubmitRequest& request) {
+  if (!Reserve(node)) return false;
+  std::vector<std::uint8_t> bytes;
+  net::EncodeSubmit(request, bytes);
+  return SendFrames(node, bytes, 1);
 }
 
 void NodePool::NoteDone(int node, std::int64_t service_ns) {
@@ -173,22 +194,40 @@ void NodePool::NoteDone(int node, std::int64_t service_ns) {
     n.service_ewma_ns.store(old == 0 ? service_ns : old + (service_ns - old) / 8,
                             std::memory_order_relaxed);
   }
-  n.inflight.fetch_sub(1, std::memory_order_acq_rel);
-  FinishDrainIfIdle(node);
+  Release(n, 1);
+}
+
+void NodePool::Release(Node& n, int count) {
+  int inflight = n.inflight.load(std::memory_order_acquire);
+  while (!n.inflight.compare_exchange_weak(inflight,
+                                           std::max(0, inflight - count),
+                                           std::memory_order_acq_rel)) {
+  }
+  FinishDrainIfIdle(n);
 }
 
 void NodePool::ReceiverLoop(int node) {
   Node& n = *GetNode(node);
-  for (;;) {
+  // Relays everything one read returned, then lets the router write it out
+  // before the next blocking Receive.
+  bool open = true;
+  while (open) {
     net::Reply reply;
-    bool open = false;
     try {
       open = n.conn.Receive(reply);
     } catch (const std::exception&) {
       open = false;  // protocol error or socket failure: treat as down
     }
     if (!open) break;
-    if (callbacks_.on_reply) callbacks_.on_reply(node, reply);
+    for (bool more = true; more;) {
+      if (callbacks_.on_reply) callbacks_.on_reply(node, reply);
+      try {
+        more = n.conn.TryReceiveBuffered(reply);
+      } catch (const std::exception&) {
+        more = open = false;  // corrupt buffered frame: flush, then down
+      }
+    }
+    if (callbacks_.on_flush) callbacks_.on_flush(node);
   }
   // EOF on a drained node (we shut the socket down ourselves) or during
   // Stop is the expected exit; anything else is a real down transition.
@@ -203,6 +242,9 @@ void NodePool::HandleDown(int node) {
   if (n.down_reported.exchange(true, std::memory_order_acq_rel)) return;
   n.state.store(static_cast<int>(NodeState::kEvicted),
                 std::memory_order_release);
+  // The router re-routes every request in flight here (on_down), so none
+  // of them is in flight on this node any more.
+  n.inflight.store(0, std::memory_order_release);
   {
     // Unblocks a receiver still parked in Receive when the down was
     // detected by the prober or a failed send.
@@ -213,8 +255,7 @@ void NodePool::HandleDown(int node) {
   if (callbacks_.on_down) callbacks_.on_down(node);
 }
 
-void NodePool::FinishDrainIfIdle(int node) {
-  Node& n = *GetNode(node);
+void NodePool::FinishDrainIfIdle(Node& n) {
   if (LoadState(n.state) != NodeState::kDraining) return;
   if (n.inflight.load(std::memory_order_acquire) != 0) return;
   int expected = static_cast<int>(NodeState::kDraining);

@@ -13,10 +13,16 @@
 // once per down transition via callbacks.on_down — the router uses that
 // signal to re-route the node's in-flight requests.
 //
-// Thread-safety: Join/Drain/Stop may be called from any thread.  Send is
-// safe from many threads (per-node send mutex).  Callbacks run on pool
-// threads (receiver or prober) with no pool-wide lock held; they may call
-// back into the pool (except Stop/Join).
+// Submit path: the router Reserves a node at pick time (so policies see the
+// route at once), encodes the submit into its per-node batch, and writes the
+// whole batch with one SendFrames call.  A node's in-flight count is the
+// number of reservations not yet balanced by a reply, a failed send, or the
+// node going down (its requests are then re-routed, so the count resets).
+//
+// Thread-safety: Join/Drain/Stop may be called from any thread.  Reserve and
+// SendFrames are safe from many threads (per-node send mutex).  Callbacks
+// run on pool threads (receiver or prober) with no pool-wide lock held; they
+// may call back into the pool (except Stop/Join).
 #pragma once
 
 #include <atomic>
@@ -65,8 +71,13 @@ struct NodePoolConfig {
 };
 
 struct NodePoolCallbacks {
-  /// A reply arrived from `node`.  Runs on that node's receiver thread.
+  /// A reply arrived from `node`.  Runs on that node's receiver thread,
+  /// once per reply in what one read of the node connection returned.
   std::function<void(int node, const net::Reply&)> on_reply;
+  /// The receiver of `node` relayed every reply it had buffered and is
+  /// about to block on the socket again: write out whatever on_reply staged.
+  /// Runs on the same thread as the on_reply calls it follows.
+  std::function<void(int node)> on_flush;
   /// `node` went down (eviction or connection loss) — fired exactly once
   /// per down transition, after the node stopped being routable.
   std::function<void(int node)> on_down;
@@ -108,16 +119,23 @@ class NodePool {
   /// Shuts down every connection and joins all pool threads.
   void Stop();
 
-  /// Forwards one submit to `node`, counting it in-flight.  Returns false
-  /// (without invoking callbacks.on_down — the down transition is still
-  /// reported exactly once, asynchronously) when the node is not routable
-  /// or the write fails.
+  /// Counts one request in flight on `node` ahead of its write.  Returns
+  /// false (counting nothing) when the node is not routable.
+  bool Reserve(int node);
+
+  /// Writes `count` encoded submit frames, each already Reserved, to `node`
+  /// in one call.  A node that began draining after the Reserve still takes
+  /// them.  On failure all `count` reservations are released and false is
+  /// returned; only a failed write reports the node down (HandleDown).
+  bool SendFrames(int node, const std::vector<std::uint8_t>& bytes, int count);
+
+  /// Reserve + encode + SendFrames for a single submit.
   bool Send(int node, const net::SubmitRequest& request);
 
-  /// The router's reply/retry path calls this once per resolved request to
-  /// balance the in-flight count from Send.  A positive `service_ns` (from
-  /// the backend's reply) feeds the per-node service-time EWMA that
-  /// EffectiveQueueDelay uses to de-herd stale probe estimates.
+  /// Balances one reservation when its request resolved (a reply from
+  /// `node`).  A positive `service_ns` (from the backend's reply) feeds the
+  /// per-node service-time EWMA that EffectiveQueueDelay uses to de-herd
+  /// stale probe estimates.
   void NoteDone(int node, std::int64_t service_ns = 0);
 
   /// Policy input: one NodeView per slot (index == node id).
@@ -134,7 +152,7 @@ class NodePool {
   struct Node {
     NodeEndpoint endpoint;
     std::mutex send_mu;
-    net::ClientConnection conn;  // guarded by send_mu for Send/Connect
+    net::ClientConnection conn;  // guarded by send_mu for writes/Connect
     std::thread receiver;
     std::atomic<int> state{static_cast<int>(NodeState::kJoining)};
     std::atomic<bool> down_reported{false};
@@ -155,13 +173,16 @@ class NodePool {
   /// Stable pointers to every current slot, index == node id.
   std::vector<Node*> AllNodes() const;
 
+  /// Drops `count` reservations, never below zero: a down transition
+  /// already reset the count its stragglers would release.
+  void Release(Node& n, int count);
   void ReceiverLoop(int node);
   void ProberLoop();
   void ProbeOnce(int node);
   /// The single funnel for unplanned node death (receiver EOF, send error,
   /// probe eviction).  Exactly-once via down_reported.
   void HandleDown(int node);
-  void FinishDrainIfIdle(int node);
+  void FinishDrainIfIdle(Node& n);
 
   NodePoolConfig config_;
   NodePoolCallbacks callbacks_;

@@ -57,6 +57,7 @@ void Router::Start() {
   callbacks.on_reply = [this](int node, const net::Reply& reply) {
     OnNodeReply(node, reply);
   };
+  callbacks.on_flush = [this](int) { FlushStagedReplies(); };
   callbacks.on_down = [this](int node) { OnNodeDown(node); };
   pool_ = std::make_unique<NodePool>(pool_config, std::move(callbacks));
   for (const NodeEndpoint& endpoint : config_.nodes) pool_->Join(endpoint);
@@ -162,6 +163,7 @@ void Router::AcceptLoop() {
 
 void Router::ReaderLoop(std::shared_ptr<ClientConn> conn) {
   net::FrameDecoder decoder;
+  Outbox outbox;
   std::uint8_t buf[4096];
   bool alive = true;
   while (alive) {
@@ -177,8 +179,10 @@ void Router::ReaderLoop(std::shared_ptr<ClientConn> conn) {
         alive = false;  // protocol error: drop the connection
         break;
       }
-      HandleSubmit(conn, frame.submit);
+      HandleSubmit(conn, frame.submit, outbox);
     }
+    // Everything this recv carried goes out before the next blocking recv.
+    Flush(outbox);
   }
   std::lock_guard lock(conns_mu_);
   conns_.erase(conn->id);
@@ -186,7 +190,7 @@ void Router::ReaderLoop(std::shared_ptr<ClientConn> conn) {
 }
 
 void Router::HandleSubmit(const std::shared_ptr<ClientConn>& conn,
-                          const net::SubmitRequest& submit) {
+                          const net::SubmitRequest& submit, Outbox& outbox) {
   accepted_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t request_id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
@@ -205,9 +209,9 @@ void Router::HandleSubmit(const std::shared_ptr<ClientConn>& conn,
   if (pending.traced) pending.forward.flags |= net::kSubmitFlagTrace;
   {
     std::lock_guard lock(pending_mu_);
-    pending_[request_id] = pending;
+    pending_.emplace(request_id, pending);
   }
-  RouteParked(request_id);
+  Route(request_id, pending.forward, pending.traced, outbox);
 }
 
 int Router::PickNode(std::uint32_t length) {
@@ -216,79 +220,127 @@ int Router::PickNode(std::uint32_t length) {
   return policy_->Pick(length, views);
 }
 
-void Router::RouteParked(std::uint64_t request_id) {
+void Router::Outbox::Add(int node, std::uint64_t request_id,
+                         const net::SubmitRequest& forward) {
+  auto it = std::find_if(batches.begin(), batches.end(),
+                         [node](const Batch& b) { return b.node == node; });
+  if (it == batches.end()) {
+    batches.emplace_back();
+    it = batches.end() - 1;
+    it->node = node;
+  }
+  net::EncodeSubmit(forward, it->bytes);
+  it->request_ids.push_back(request_id);
+}
+
+void Router::Route(std::uint64_t request_id, const net::SubmitRequest& forward,
+                   bool traced, Outbox& outbox) {
   for (;;) {
-    net::SubmitRequest forward;
-    bool traced = false;
+    const std::int64_t pick_start = traced ? NowNs() : 0;
+    const int node = PickNode(forward.length);
+    const std::int64_t pick_elapsed = traced ? NowNs() - pick_start : 0;
+    if (node < 0) {
+      ShedParked(request_id);
+      return;
+    }
     {
       std::lock_guard lock(pending_mu_);
       auto it = pending_.find(request_id);
       // Gone: a reply resolved it.  node != -1: another path owns it.
       if (it == pending_.end() || it->second.node != -1) return;
-      forward = it->second.forward;
-      traced = it->second.traced;
-      if (traced && it->second.parked_at_ns != 0) {
-        // Close out the retry-queue park that just ended.
-        it->second.park_ns += NowNs() - it->second.parked_at_ns;
-        it->second.parked_at_ns = 0;
-      }
-    }
-    const std::int64_t pick_start = traced ? NowNs() : 0;
-    const int node = PickNode(forward.length);
-    const std::int64_t pick_elapsed = traced ? NowNs() - pick_start : 0;
-    if (node < 0) {
-      PendingRoute pending;
-      {
-        std::lock_guard lock(pending_mu_);
-        auto it = pending_.find(request_id);
-        if (it == pending_.end() || it->second.node != -1) return;
-        pending = std::move(it->second);
-        pending_.erase(it);
-      }
-      ShedNoNode(pending);
-      return;
-    }
-    int attempts = 0;
-    {
-      std::lock_guard lock(pending_mu_);
-      auto it = pending_.find(request_id);
-      if (it == pending_.end() || it->second.node != -1) return;
       it->second.node = node;
-      attempts = ++it->second.attempts;
+      ++it->second.attempts;
       if (traced) {
         it->second.pick_ns += pick_elapsed;
         it->second.last_sent_ns = NowNs();
       }
     }
-    if (pool_->Send(node, forward)) {
-      routed_.fetch_add(1, std::memory_order_relaxed);
-      if (config_.sink) config_.sink->RecordClusterRouted(node);
+    // Reserved at pick, so the next pick in this batch already sees it.
+    if (pool_->Reserve(node)) {
+      outbox.Add(node, request_id, forward);
       return;
     }
-    // The node died between pick and send.  Send() reported the down
-    // transition synchronously, so OnNodeDown may already have detached
-    // and parked this entry; only the path that detaches it re-handles it.
-    {
-      std::lock_guard lock(pending_mu_);
-      auto it = pending_.find(request_id);
-      if (it == pending_.end() || it->second.node != node) return;
-      it->second.node = -1;
-    }
-    if (attempts >= config_.retry.max_attempts) {
-      PendingRoute pending;
-      {
-        std::lock_guard lock(pending_mu_);
-        auto it = pending_.find(request_id);
-        if (it == pending_.end() || it->second.node != -1) return;
-        pending = std::move(it->second);
-        pending_.erase(it);
-      }
-      ShedNoNode(pending);
-      return;
-    }
-    // Re-pick immediately: the failed node is no longer routable, so the
-    // loop cannot spin on it.
+    // The node stopped being routable after the pick, so the re-pick
+    // cannot land on it again.
+    if (!DetachFailedSend(request_id, node)) return;
   }
+}
+
+void Router::RouteParked(std::uint64_t request_id, Outbox& outbox) {
+  net::SubmitRequest forward;
+  bool traced = false;
+  {
+    std::lock_guard lock(pending_mu_);
+    auto it = pending_.find(request_id);
+    if (it == pending_.end() || it->second.node != -1) return;
+    forward = it->second.forward;
+    traced = it->second.traced;
+    if (traced && it->second.parked_at_ns != 0) {
+      // Close out the retry-queue park that just ended.
+      it->second.park_ns += NowNs() - it->second.parked_at_ns;
+      it->second.parked_at_ns = 0;
+    }
+  }
+  Route(request_id, forward, traced, outbox);
+}
+
+void Router::Flush(Outbox& outbox) {
+  std::vector<std::uint64_t> reroute;
+  for (;;) {
+    for (Outbox::Batch& batch : outbox.batches) {
+      if (batch.request_ids.empty()) continue;
+      const int count = static_cast<int>(batch.request_ids.size());
+      if (pool_->SendFrames(batch.node, batch.bytes, count)) {
+        routed_.fetch_add(static_cast<std::uint64_t>(count),
+                          std::memory_order_relaxed);
+        if (config_.sink) {
+          config_.sink->RecordClusterRouted(batch.node,
+                                            static_cast<std::uint64_t>(count));
+        }
+      } else {
+        // A failed write reported the node down synchronously, so
+        // OnNodeDown may already have parked some of these.
+        for (const std::uint64_t request_id : batch.request_ids) {
+          if (DetachFailedSend(request_id, batch.node)) {
+            reroute.push_back(request_id);
+          }
+        }
+      }
+      batch.bytes.clear();
+      batch.request_ids.clear();
+    }
+    if (reroute.empty()) return;
+    for (const std::uint64_t request_id : reroute) {
+      RouteParked(request_id, outbox);
+    }
+    reroute.clear();
+  }
+}
+
+bool Router::DetachFailedSend(std::uint64_t request_id, int node) {
+  bool exhausted = false;
+  {
+    std::lock_guard lock(pending_mu_);
+    auto it = pending_.find(request_id);
+    if (it == pending_.end() || it->second.node != node) return false;
+    it->second.node = -1;
+    exhausted = it->second.attempts >= config_.retry.max_attempts;
+  }
+  if (!exhausted) return true;
+  ShedParked(request_id);
+  return false;
+}
+
+void Router::ShedParked(std::uint64_t request_id) {
+  PendingRoute pending;
+  {
+    std::lock_guard lock(pending_mu_);
+    auto it = pending_.find(request_id);
+    if (it == pending_.end() || it->second.node != -1) return;
+    pending = std::move(it->second);
+    pending_.erase(it);
+  }
+  ShedNoNode(pending);
 }
 
 void Router::OnNodeReply(int node, const net::Reply& reply) {
@@ -338,7 +390,7 @@ void Router::OnNodeReply(int node, const net::Reply& reply) {
     }
     out.annex = std::move(timeline);
   }
-  ReplyToClient(pending.conn_id, out);
+  StageReply(pending.conn_id, out);
 }
 
 void Router::OnNodeDown(int node) {
@@ -365,15 +417,7 @@ void Router::OnNodeDown(int node) {
 
 void Router::ParkForRetry(std::uint64_t request_id, int attempts) {
   if (attempts >= config_.retry.max_attempts) {
-    PendingRoute pending;
-    {
-      std::lock_guard lock(pending_mu_);
-      auto it = pending_.find(request_id);
-      if (it == pending_.end() || it->second.node != -1) return;
-      pending = std::move(it->second);
-      pending_.erase(it);
-    }
-    ShedNoNode(pending);
+    ShedParked(request_id);
     return;
   }
   std::lock_guard lock(retry_mu_);
@@ -394,6 +438,7 @@ void Router::RetryLoop() {
   const auto later_due = [](const RetryEntry& a, const RetryEntry& b) {
     return a.due_ns > b.due_ns;
   };
+  Outbox outbox;
   for (;;) {
     std::uint64_t request_id = 0;
     {
@@ -413,7 +458,8 @@ void Router::RetryLoop() {
       request_id = retry_queue_.back().request_id;
       retry_queue_.pop_back();
     }
-    RouteParked(request_id);
+    RouteParked(request_id, outbox);
+    Flush(outbox);
   }
 }
 
@@ -424,21 +470,43 @@ void Router::ShedNoNode(const PendingRoute& pending) {
   reply.id = pending.client_id;
   reply.request_id = pending.client_request_id;
   reply.status = net::ReplyStatus::kRejectNoNode;
-  ReplyToClient(pending.conn_id, reply);
+  StageReply(pending.conn_id, reply);
+  FlushStagedReplies();
 }
 
-void Router::ReplyToClient(std::uint64_t conn_id, const net::Reply& reply) {
-  std::shared_ptr<ClientConn> conn;
-  {
-    std::lock_guard lock(conns_mu_);
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;  // client left; reply dropped
-    conn = it->second;
+std::vector<Router::StagedReplies>& Router::ThreadStagedReplies() {
+  // Each thread stages into its own buffers; every thread that writes to
+  // clients (readers, node receivers, retry, prober) serves one router.
+  thread_local std::vector<StagedReplies> staged;
+  return staged;
+}
+
+void Router::StageReply(std::uint64_t conn_id, const net::Reply& reply) {
+  std::vector<StagedReplies>& staged = ThreadStagedReplies();
+  auto it = std::find_if(
+      staged.begin(), staged.end(),
+      [conn_id](const StagedReplies& s) { return s.conn->id == conn_id; });
+  if (it == staged.end()) {
+    std::shared_ptr<ClientConn> conn;
+    {
+      std::lock_guard lock(conns_mu_);
+      auto found = conns_.find(conn_id);
+      if (found == conns_.end()) return;  // client left; reply dropped
+      conn = found->second;
+    }
+    staged.push_back({std::move(conn), {}});
+    it = staged.end() - 1;
   }
-  std::vector<std::uint8_t> bytes;
-  EncodeReply(reply, bytes);
-  std::lock_guard write_lock(conn->write_mu);
-  SendAll(conn->fd.Get(), bytes);
+  EncodeReply(reply, it->bytes);
+}
+
+void Router::FlushStagedReplies() {
+  std::vector<StagedReplies>& staged = ThreadStagedReplies();
+  for (const StagedReplies& s : staged) {
+    std::lock_guard write_lock(s.conn->write_mu);
+    SendAll(s.conn->fd.Get(), s.bytes);
+  }
+  staged.clear();
 }
 
 void Router::WriteStatusJson(std::ostream& os) const {

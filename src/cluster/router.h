@@ -15,6 +15,13 @@
 // exhausted (explicit kRejectNoNode), or router shutdown — the zero-loss
 // contract the node-kill tests pin down.
 //
+// Batching: every write carries all that its thread has already decoded.
+// A reader routes every submit of one recv into a per-node outbox and then
+// writes each node's share with one send; a node receiver relays every reply
+// one read returned into per-client buffers and then writes each client's
+// share with one send.  Both flush before their thread blocks again, so a
+// lone request never waits on a batch.
+//
 // Threads: one acceptor, one blocking reader per client connection, one
 // receiver per node (inside NodePool), the pool's prober, and one retry
 // timer.  Client writes are serialized per connection with a write mutex
@@ -127,7 +134,7 @@ class Router {
     std::int64_t pick_ns = 0;       ///< total routing-policy selection time
     std::int64_t park_ns = 0;       ///< total time parked in the retry queue
     std::int64_t parked_at_ns = 0;  ///< park start; 0 = not currently parked
-    std::int64_t last_sent_ns = 0;  ///< most recent forward to a node
+    std::int64_t last_sent_ns = 0;  ///< most recent pick (frame batched)
   };
 
   struct RetryEntry {
@@ -135,18 +142,58 @@ class Router {
     std::uint64_t request_id = 0;
   };
 
+  /// Routed submits not yet written: encoded frames per node, flushed with
+  /// one SendFrames call each.  Owned by one thread; kept across flushes so
+  /// its buffers are reused.
+  struct Outbox {
+    struct Batch {
+      int node = -1;
+      std::vector<std::uint8_t> bytes;
+      std::vector<std::uint64_t> request_ids;
+    };
+    std::vector<Batch> batches;  ///< one per node ever touched; few
+
+    void Add(int node, std::uint64_t request_id,
+             const net::SubmitRequest& forward);
+  };
+
+  /// Replies a thread has encoded but not yet written, per client.
+  struct StagedReplies {
+    std::shared_ptr<ClientConn> conn;
+    std::vector<std::uint8_t> bytes;
+  };
+
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<ClientConn> conn);
   void HandleSubmit(const std::shared_ptr<ClientConn>& conn,
-                    const net::SubmitRequest& submit);
+                    const net::SubmitRequest& submit, Outbox& outbox);
   void OnNodeReply(int node, const net::Reply& reply);
   void OnNodeDown(int node);
   void RetryLoop();
-  /// Routes `request_id` (already parked with node == -1).  On failure
-  /// either re-parks it or sheds with kRejectNoNode.
-  void RouteParked(std::uint64_t request_id);
+  /// Picks a node for `request_id` (parked, node == -1), reserves it, and
+  /// adds the frame to `outbox`.  A request no node takes is shed.
+  void Route(std::uint64_t request_id, const net::SubmitRequest& forward,
+             bool traced, Outbox& outbox);
+  /// Route for a parked request whose frame is read from the pending table.
+  void RouteParked(std::uint64_t request_id, Outbox& outbox);
+  /// Writes each node's batch with one send; re-routes the requests of a
+  /// failed batch until the outbox is empty.
+  void Flush(Outbox& outbox);
+  /// A reserve or send on `node` failed for `request_id`.  Detaches it from
+  /// `node` unless another path (OnNodeDown, a reply) already owns it.
+  /// Returns true when the caller should re-route it; false when it is
+  /// owned elsewhere or was shed because its re-route budget is spent.
+  bool DetachFailedSend(std::uint64_t request_id, int node);
+  /// Removes `request_id` if it is still parked and replies kRejectNoNode.
+  void ShedParked(std::uint64_t request_id);
   int PickNode(std::uint32_t length);
-  void ReplyToClient(std::uint64_t conn_id, const net::Reply& reply);
+  /// Appends a reply to the calling thread's per-client buffers; dropped
+  /// when the client already left.
+  void StageReply(std::uint64_t conn_id, const net::Reply& reply);
+  /// Writes every buffer StageReply filled on this thread, one send per
+  /// client: the pool's on_flush, and right after each shed.
+  void FlushStagedReplies();
+  static std::vector<StagedReplies>& ThreadStagedReplies();
   void ShedNoNode(const PendingRoute& pending);
   /// Parks `request_id` in the retry queue with jittered backoff, or sheds
   /// immediately when the re-route budget is exhausted.  Caller must have

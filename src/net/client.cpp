@@ -10,6 +10,7 @@
 #include <system_error>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "common/check.h"
 
@@ -63,10 +64,14 @@ void ClientConnection::Send(const SubmitRequest& request) {
   std::vector<std::uint8_t> buf;
   buf.reserve(kSubmitFrameBytes);
   EncodeSubmit(request, buf);
+  SendEncoded(buf);
+}
+
+void ClientConnection::SendEncoded(const std::vector<std::uint8_t>& bytes) {
   std::size_t off = 0;
-  while (off < buf.size()) {
-    const ssize_t n =
-        ::send(fd_.Get(), buf.data() + off, buf.size() - off, MSG_NOSIGNAL);
+  while (off < bytes.size()) {
+    const ssize_t n = ::send(fd_.Get(), bytes.data() + off, bytes.size() - off,
+                             MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<std::size_t>(n);
       continue;
@@ -76,20 +81,23 @@ void ClientConnection::Send(const SubmitRequest& request) {
   }
 }
 
-bool ClientConnection::Receive(Reply& out) {
+bool ClientConnection::TryReceiveBuffered(Reply& out) {
   Frame frame;
+  const FrameDecoder::Result r = decoder_.Next(frame);
+  if (r == FrameDecoder::Result::kNeedMore) return false;
+  if (r == FrameDecoder::Result::kError) {
+    throw std::runtime_error("protocol error: " + decoder_.Error());
+  }
+  if (frame.type != MsgType::kReply) {
+    throw std::runtime_error("client received a non-reply frame");
+  }
+  out = std::move(frame.reply);
+  return true;
+}
+
+bool ClientConnection::Receive(Reply& out) {
   for (;;) {
-    const FrameDecoder::Result r = decoder_.Next(frame);
-    if (r == FrameDecoder::Result::kFrame) {
-      if (frame.type != MsgType::kReply) {
-        throw std::runtime_error("client received a non-reply frame");
-      }
-      out = frame.reply;
-      return true;
-    }
-    if (r == FrameDecoder::Result::kError) {
-      throw std::runtime_error("protocol error: " + decoder_.Error());
-    }
+    if (TryReceiveBuffered(out)) return true;
     std::uint8_t buf[4096];
     const ssize_t n = ::recv(fd_.Get(), buf, sizeof(buf), 0);
     if (n > 0) {

@@ -59,9 +59,19 @@ class ClientConnection {
   /// Writes one framed SubmitRequest (handles partial writes).
   void Send(const SubmitRequest& request);
 
+  /// Writes already-encoded frames in one call (handles partial writes).
+  /// Throws on socket failures.
+  void SendEncoded(const std::vector<std::uint8_t>& bytes);
+
   /// Blocks for the next Reply frame.  Returns false on clean EOF.
   /// Throws on protocol errors or socket failures.
   bool Receive(Reply& out);
+
+  /// The next Reply frame already buffered from an earlier read, without
+  /// touching the socket.  Returns false when no whole frame is buffered.
+  /// Throws on protocol errors.  Lets a receiver drain everything one read
+  /// returned before it blocks again.
+  bool TryReceiveBuffered(Reply& out);
 
  private:
   ScopedFd fd_;

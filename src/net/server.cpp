@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -453,6 +454,9 @@ void Server::Impl::DrainCompletions() {
     if (d < 0) d = 0;
     return static_cast<std::int64_t>(static_cast<double>(d) * time_scale);
   };
+  // Encode the whole batch first, then write each connection's share with
+  // one send.
+  std::vector<Conn*> touched;
   for (const Completion& completion : done) {
     const RequestRecord& record = completion.record;
     auto it = pending_.find(completion.id);
@@ -464,6 +468,9 @@ void Server::Impl::DrainCompletions() {
       continue;  // connection gone: drop the reply, the work still counted
     }
     Conn& conn = *cit->second;
+    if (std::find(touched.begin(), touched.end(), &conn) == touched.end()) {
+      touched.push_back(&conn);
+    }
     Reply reply;
     reply.id = pending.wire_id;
     reply.request_id = pending.wire_request_id;
@@ -515,8 +522,8 @@ void Server::Impl::DrainCompletions() {
       config_.telemetry->RecordNetFrontendOverhead(
           std::max<std::int64_t>(0, wall_in_server - modeled_wall));
     }
-    if (!FlushConn(conn)) continue;
   }
+  for (Conn* conn : touched) FlushConn(*conn);
 }
 
 Server::Server(serving::LiveTestbed& backend, const ServerConfig& config)

@@ -11,8 +11,9 @@
 //
 // Completions flow back the reverse way: the testbed worker's completion
 // callback pushes (request id, record) onto the server's completion list
-// and wakes the event loop through a self-pipe; the event loop matches the
-// record to its connection and writes the Reply frame.  Rejections are
+// and wakes the event loop through a self-pipe; the event loop matches each
+// drained record to its connection, encodes its Reply frame, and then writes
+// once per connection the batch touched.  Rejections are
 // replied to inline from the event loop.  A connection that disappears
 // before its reply is ready just has the reply dropped — the request
 // itself always completes (the testbed never loses work).

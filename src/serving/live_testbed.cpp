@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -190,7 +191,9 @@ struct LiveTestbed::Impl final : public sim::ClusterOps {
   std::condition_variable all_done_cv_;
   std::vector<std::unique_ptr<Worker>> workers_;
   tenant::DispatchQueue buffer_;
-  std::vector<RequestRecord> records_;
+  /// Completion order.  A deque never moves what it holds, so appending
+  /// under dispatch_mu_ stays O(1) at any run length; Finish copies it out.
+  std::deque<RequestRecord> records_;
   /// Per-class completion counts (dispatch_mu_); empty unless a tenant
   /// class table is configured.
   std::vector<std::uint64_t> class_completed_;
@@ -1241,7 +1244,9 @@ TestbedResult LiveTestbed::Impl::Finish() {
   }
 
   TestbedResult out;
-  out.records = std::move(records_);
+  out.records.assign(std::make_move_iterator(records_.begin()),
+                     std::make_move_iterator(records_.end()));
+  records_.clear();
   out.peak_workers = peak_workers_;
   out.injected_failures = injected_failures_;
   out.faults_injected = faults_injected_;

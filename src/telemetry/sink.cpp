@@ -591,9 +591,9 @@ LatencyHistogram* TelemetrySink::NodeRouteLatency(int node) {
   return node_route_[index];
 }
 
-void TelemetrySink::RecordClusterRouted(int node) {
-  cluster_.routed->Add();
-  if (node >= 0) NodeRoutedCounter(node)->Add();
+void TelemetrySink::RecordClusterRouted(int node, std::uint64_t count) {
+  cluster_.routed->Add(count);
+  if (node >= 0) NodeRoutedCounter(node)->Add(count);
 }
 
 void TelemetrySink::RecordClusterReply(int node, std::int64_t wall_ns) {

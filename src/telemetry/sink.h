@@ -289,9 +289,9 @@ class TelemetrySink {
   void SetGenKvGauges(std::int64_t resident, std::int64_t capacity);
 
   // --- cluster router (src/cluster; see docs/CLUSTER.md) -----------------
-  /// A submit was forwarded to backend `node`; also bumps the lazily
-  /// registered arlo_cluster_node_routed_total{node="i"} counter.
-  void RecordClusterRouted(int node);
+  /// `count` submits were forwarded to backend `node`; also bumps the
+  /// lazily registered arlo_cluster_node_routed_total{node="i"} counter.
+  void RecordClusterRouted(int node, std::uint64_t count = 1);
   /// A backend reply was relayed; `wall_ns` spans forward to reply and also
   /// lands in the per-node route-latency histogram.
   void RecordClusterReply(int node, std::int64_t wall_ns);

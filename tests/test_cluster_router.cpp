@@ -296,6 +296,146 @@ TEST(ClusterRouter, NodeKillWithInflightRequestsLosesNothing) {
   router.Stop();
 }
 
+// The batched fault path: one client send carries every submit, so the
+// router routes them as one read batch (one write per node), and the node
+// holding its half dies with all of it in flight.  Each request still gets
+// exactly one reply, the router's books balance, and no node is left with
+// reservations.
+TEST(ClusterRouter, BatchedSubmitsSurviveNodeDeathExactlyOnce) {
+  FakeBackend victim(FakeBackend::Mode::kHold);
+  FakeBackend survivor(FakeBackend::Mode::kEcho);
+
+  RouterConfig rc;
+  rc.policy = "rr";  // deterministic: every other submit lands on the victim
+  rc.nodes = {{"victim", victim.Port(), 0}, {"survivor", survivor.Port(), 0}};
+  Router router(rc);
+  router.Start();
+
+  constexpr int kRequests = 64;
+  std::vector<std::uint8_t> bytes;
+  for (int i = 0; i < kRequests; ++i) {
+    net::SubmitRequest submit;
+    submit.id = static_cast<std::uint64_t>(i);
+    submit.request_id = static_cast<std::uint64_t>(1000 + i);
+    submit.length = 128;
+    net::EncodeSubmit(submit, bytes);
+  }
+  net::ClientConnection client(router.Port());
+  client.SendEncoded(bytes);
+
+  ASSERT_TRUE(WaitFor([&] { return victim.Received() == kRequests / 2; }));
+  victim.Kill();
+
+  std::vector<int> answered(kRequests, 0);
+  for (int i = 0; i < kRequests; ++i) {
+    net::Reply reply;
+    ASSERT_TRUE(client.Receive(reply)) << "lost after " << i << " replies";
+    EXPECT_EQ(reply.status, net::ReplyStatus::kOk);
+    ASSERT_LT(reply.id, static_cast<std::uint64_t>(kRequests));
+    EXPECT_EQ(reply.request_id, 1000 + reply.id);
+    ++answered[reply.id];
+  }
+  for (int i = 0; i < kRequests; ++i) EXPECT_EQ(answered[i], 1) << "id " << i;
+
+  const Router::Stats stats = router.GetStats();
+  EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(stats.accepted, stats.replies + stats.no_node);
+  EXPECT_GE(stats.retries, static_cast<std::uint64_t>(kRequests / 2));
+  EXPECT_EQ(survivor.Received(), kRequests);  // its half + the re-routes
+  ASSERT_TRUE(WaitFor([&] {
+    for (const NodeStatus& n : router.Pool().Status()) {
+      if (n.inflight != 0) return false;
+    }
+    return true;
+  }));
+  EXPECT_EQ(router.Pool().Status()[0].state, NodeState::kEvicted);
+
+  router.Stop();
+}
+
+// A drain that lands between Reserve and SendFrames: the node still takes
+// the reserved frames (the reservations hold its connection open), answers
+// them, and only then reports kDrained — nothing lost, nothing evicted.
+TEST(ClusterRouter, DrainBetweenReserveAndSendFramesLosesNothing) {
+  FakeBackend backend(FakeBackend::Mode::kEcho);
+
+  telemetry::TelemetrySink sink;
+  NodePoolConfig config;
+  config.sink = &sink;
+  NodePool* pool_ptr = nullptr;
+  std::atomic<int> replies{0};
+  NodePoolCallbacks callbacks;
+  callbacks.on_reply = [&](int node, const net::Reply&) {
+    // Counted before NoteDone: the last NoteDone is what reports kDrained.
+    replies.fetch_add(1, std::memory_order_acq_rel);
+    pool_ptr->NoteDone(node);
+  };
+  NodePool pool(config, std::move(callbacks));
+  pool_ptr = &pool;
+  const int node = pool.Join({"a", backend.Port(), 0});
+  ASSERT_EQ(node, 0);
+
+  constexpr int kFrames = 8;
+  std::vector<std::uint8_t> bytes;
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(pool.Reserve(node));
+    net::SubmitRequest submit;
+    submit.id = static_cast<std::uint64_t>(i);
+    submit.request_id = static_cast<std::uint64_t>(i + 1);
+    submit.length = 64;
+    net::EncodeSubmit(submit, bytes);
+  }
+  ASSERT_TRUE(pool.Drain(node));
+  EXPECT_EQ(pool.Status()[0].state, NodeState::kDraining);
+  EXPECT_EQ(pool.Status()[0].inflight, kFrames);
+  EXPECT_FALSE(pool.Reserve(node));  // no new routes once draining
+
+  ASSERT_TRUE(pool.SendFrames(node, bytes, kFrames));
+  ASSERT_TRUE(WaitFor([&] {
+    return pool.Status()[0].state == NodeState::kDrained;
+  }));
+  EXPECT_EQ(replies.load(), kFrames);
+  EXPECT_EQ(backend.Received(), kFrames);
+  const NodeStatus status = pool.Status()[0];
+  EXPECT_EQ(status.inflight, 0);
+  EXPECT_EQ(status.routed, kFrames);
+  EXPECT_EQ(sink.Cluster().evictions->Value(), 0u);
+
+  pool.Stop();
+}
+
+// A batch written to a node that already went down is refused without a
+// second down report, and its reservations are released.
+TEST(ClusterRouter, SendFramesToDownNodeReleasesReservations) {
+  FakeBackend backend(FakeBackend::Mode::kHold);
+
+  std::atomic<int> downs{0};
+  NodePoolCallbacks callbacks;
+  callbacks.on_down = [&](int) { downs.fetch_add(1); };
+  NodePool pool(NodePoolConfig{}, std::move(callbacks));
+  const int node = pool.Join({"a", backend.Port(), 0});
+  ASSERT_EQ(node, 0);
+
+  std::vector<std::uint8_t> bytes;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(pool.Reserve(node));
+    net::SubmitRequest submit;
+    submit.id = static_cast<std::uint64_t>(i);
+    net::EncodeSubmit(submit, bytes);
+  }
+  backend.Kill();
+  ASSERT_TRUE(WaitFor([&] {
+    return pool.Status()[0].state == NodeState::kEvicted;
+  }));
+  EXPECT_FALSE(pool.SendFrames(node, bytes, 3));
+  EXPECT_FALSE(pool.Send(node, net::SubmitRequest{}));  // not routable
+  EXPECT_EQ(pool.Status()[0].inflight, 0);
+  EXPECT_EQ(pool.Status()[0].routed, 0);
+  EXPECT_EQ(downs.load(), 1);
+
+  pool.Stop();
+}
+
 // Graceful drain: the drained node stops receiving new work, reaches
 // kDrained once idle, and everything routes to the remaining node.
 TEST(ClusterRouter, DrainStopsNewWorkAndCompletes) {

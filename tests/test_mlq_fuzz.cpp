@@ -126,7 +126,9 @@ TEST_P(MlqFuzzTest, MatchesReferenceModelUnderRandomOps) {
       const auto ref_head = ref.Head(level);
       ASSERT_EQ(head.has_value(), ref_head.has_value())
           << "step " << step << " level " << level;
-      if (head) ASSERT_EQ(head->id, *ref_head) << "step " << step;
+      if (head) {
+        ASSERT_EQ(head->id, *ref_head) << "step " << step;
+      }
     }
     if (step % 50 == 0) {
       for (RuntimeId level = 0; level < kLevels; ++level) {
@@ -136,7 +138,9 @@ TEST_P(MlqFuzzTest, MatchesReferenceModelUnderRandomOps) {
           const auto ref_fit = ref.BestFitBelow(level, limit);
           ASSERT_EQ(fit.has_value(), ref_fit.has_value())
               << "step " << step << " level " << level << " limit " << limit;
-          if (fit) ASSERT_EQ(fit->id, *ref_fit) << "step " << step;
+          if (fit) {
+            ASSERT_EQ(fit->id, *ref_fit) << "step " << step;
+          }
         }
       }
       for (const auto& [id, inst] : ref.All()) {

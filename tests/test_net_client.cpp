@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -163,6 +164,63 @@ TEST(NetClient, ReconnectWhileConnectedReplacesTheSocket) {
   // The first server sees EOF — its connection was really dropped.
   SubmitRequest none;
   EXPECT_FALSE(first.ReadSubmit(none));
+}
+
+Reply ReplyWithId(std::uint64_t id) {
+  Reply reply;
+  reply.id = id;
+  reply.request_id = 100 + id;
+  reply.status = ReplyStatus::kOk;
+  return reply;
+}
+
+// TryReceiveBuffered hands out, in order, the frames one read already pulled
+// in, and with nothing buffered returns false without reading the socket (a
+// read here would block forever: the server sends nothing until after it).
+TEST(NetClient, TryReceiveBufferedReturnsBufferedRepliesInOrder) {
+  ManualServer server;
+  ClientConnection conn(server.Port());
+  server.AcceptOne();
+
+  Reply none;
+  EXPECT_FALSE(conn.TryReceiveBuffered(none));
+
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    EncodeReply(ReplyWithId(id), bytes);
+  }
+  server.SendBytes(bytes, bytes.size());  // one read takes all three
+  Reply got;
+  ASSERT_TRUE(conn.Receive(got));
+  EXPECT_EQ(got, ReplyWithId(1));
+  ASSERT_TRUE(conn.TryReceiveBuffered(got));
+  EXPECT_EQ(got, ReplyWithId(2));
+  ASSERT_TRUE(conn.TryReceiveBuffered(got));
+  EXPECT_EQ(got, ReplyWithId(3));
+  EXPECT_FALSE(conn.TryReceiveBuffered(got));
+
+  // The connection is intact: the next reply still arrives.
+  server.SendReply(ReplyWithId(4));
+  ASSERT_TRUE(conn.Receive(got));
+  EXPECT_EQ(got, ReplyWithId(4));
+}
+
+TEST(NetClient, TryReceiveBufferedThrowsOnCorruptBufferedFrame) {
+  ManualServer server;
+  ClientConnection conn(server.Port());
+  server.AcceptOne();
+
+  std::vector<std::uint8_t> bytes;
+  EncodeReply(ReplyWithId(1), bytes);
+  const std::size_t second = bytes.size();
+  EncodeReply(ReplyWithId(2), bytes);
+  bytes[second + 4] = 99;  // the second frame's version byte
+  server.SendBytes(bytes, bytes.size());
+
+  Reply got;
+  ASSERT_TRUE(conn.Receive(got));
+  EXPECT_EQ(got, ReplyWithId(1));
+  EXPECT_THROW(conn.TryReceiveBuffered(got), std::runtime_error);
 }
 
 TEST(NetClient, ShutdownUnblocksReceiveWithCleanEof) {

@@ -1,12 +1,18 @@
 // End-to-end loopback tests: LiveTestbed + Server + LoadGenerator over real
 // sockets on 127.0.0.1.  These run under TSan and ASan in check.sh, so they
 // double as the data-race / lifetime proof for the whole net stack.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "baselines/scenario.h"
@@ -274,6 +280,95 @@ TEST(NetLoopback, RejectStatusesAreDistinctUnderBurst) {
   EXPECT_EQ(stats.accepted + stats.TotalRejected(), 14u);
   EXPECT_GT(stats.rejected_rate, 0u);
   EXPECT_GT(stats.rejected_inflight, 0u);
+  (void)testbed.Finish();
+}
+
+// Completions are written once per drained batch, so one connection's share
+// of a batch can exceed what the socket takes in one send.  A client with a
+// tiny receive buffer writes thousands of submits and reads nothing until
+// they are all sent: the server's sends hit EAGAIN, park the rest behind
+// want_write, and resume on writability.  Every reply must still arrive
+// exactly once and decode.
+TEST(NetLoopback, BatchedRepliesSurvivePartialWrites) {
+  ScenarioConfig config;
+  config.gpus = 2;
+  auto scheme = MakeSchemeByName("st", config);
+  serving::TestbedConfig tb;
+  tb.time_scale = 1e-3;  // ~6 us of modelled service: completions pile up
+  serving::LiveTestbed testbed(*scheme, tb);
+  testbed.Start();
+
+  constexpr int kRequests = 8000;  // ~312 KB of replies
+  ServerConfig sc;
+  sc.submit_queue_capacity = kRequests;
+  Server server(testbed, sc);
+  server.Start();
+
+  ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(fd.Valid());
+  // Both set before connect: a small window, and a small MSS so the
+  // server's send buffer starts small too (loopback's 64 KB MSS would size
+  // it past everything this test writes).
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(fd.Get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof(rcvbuf)),
+            0);
+  const int mss = 536;
+  ASSERT_EQ(::setsockopt(fd.Get(), IPPROTO_TCP, TCP_MAXSEG, &mss, sizeof(mss)),
+            0);
+  const timeval timeout{10, 0};  // a lost reply fails the test, not hangs it
+  ASSERT_EQ(::setsockopt(fd.Get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.Port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd.Get(), reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  std::vector<std::uint8_t> out;
+  for (int i = 0; i < kRequests; ++i) {
+    SubmitRequest msg;
+    msg.id = static_cast<std::uint64_t>(i);
+    msg.length = 64;
+    EncodeSubmit(msg, out);
+  }
+  for (std::size_t off = 0; off < out.size();) {
+    const ssize_t n = ::send(fd.Get(), out.data() + off, out.size() - off,
+                             MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  std::vector<int> seen(kRequests, 0);
+  FrameDecoder decoder;
+  int received = 0;
+  std::uint8_t buf[4096];
+  while (received < kRequests) {
+    const ssize_t n = ::recv(fd.Get(), buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "after " << received << " replies";
+    decoder.Feed(buf, static_cast<std::size_t>(n));
+    Frame frame;
+    FrameDecoder::Result r;
+    while ((r = decoder.Next(frame)) == FrameDecoder::Result::kFrame) {
+      ASSERT_EQ(frame.type, MsgType::kReply);
+      ASSERT_LT(frame.reply.id, static_cast<std::uint64_t>(kRequests));
+      EXPECT_EQ(frame.reply.status, ReplyStatus::kOk);
+      ++seen[frame.reply.id];
+      ++received;
+    }
+    ASSERT_EQ(r, FrameDecoder::Result::kNeedMore) << decoder.Error();
+  }
+  EXPECT_EQ(decoder.Pending(), 0u);
+  for (int i = 0; i < kRequests; ++i) EXPECT_EQ(seen[i], 1) << "id " << i;
+
+  server.Stop();
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.replies_sent, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(stats.bytes_out, kRequests * kReplyFrameBytes);
   (void)testbed.Finish();
 }
 

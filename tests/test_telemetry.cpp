@@ -158,7 +158,9 @@ TEST(TelemetryHistogram, OctaveBoundaries) {
   for (std::int64_t v : {17ll, 100ll, 1000ll, 123456ll, 99999999ll}) {
     const int b = LatencyHistogram::BucketIndex(v);
     EXPECT_GE(LatencyHistogram::BucketUpperBound(b), v) << v;
-    if (b > 0) EXPECT_LT(LatencyHistogram::BucketUpperBound(b - 1), v) << v;
+    if (b > 0) {
+      EXPECT_LT(LatencyHistogram::BucketUpperBound(b - 1), v) << v;
+    }
   }
 }
 
