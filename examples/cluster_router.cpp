@@ -221,7 +221,9 @@ int main(int argc, char** argv) {
     std::cout << "  node " << n.node << " (" << n.endpoint.name << " :"
               << n.endpoint.port << ") " << cluster::NodeStateName(n.state)
               << ": routed " << n.routed << ", est queue delay "
-              << ToMillis(n.est_queue_delay_ns) << " ms\n";
+              << ToMillis(n.est_queue_delay_ns) << " ms";
+    if (!n.down_reason.empty()) std::cout << ", down: " << n.down_reason;
+    std::cout << "\n";
   }
   return 0;
 }

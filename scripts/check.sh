@@ -4,10 +4,12 @@
 # by its binary), run the full test suite, smoke the batching bench
 # (--json output must parse with finite p98), smoke the admin plane
 # (live_serving --admin-port: /metrics, /healthz and /statusz must answer
-# with the expected shapes), smoke the cluster router (two real backends
-# behind cluster_router --trace-sample=1, zero loss, both nodes routed,
-# GET /fleetz must merge both nodes' statusz, and the Chrome trace dump
-# must nest per-stage spans under each traced request) and the cluster
+# with the expected shapes), smoke the cluster router (three real backends
+# behind cluster_router --trace-sample=1, one SIGKILLed mid-load: zero loss,
+# replies + no_node == accepted, the dead node's down_reason on /statusz,
+# both survivors routed, GET /fleetz must merge the survivors' statusz, and
+# the Chrome trace dump must nest per-stage spans under each traced
+# request) and the cluster
 # scaling bench, smoke the tracing bench (sampled dispatch p98 must stay
 # within 10% of tracing-off), smoke the control plane (two frozen backends behind
 # cluster_router --ctrl: the Runtime Scheduler must re-plan, apply at least
@@ -118,16 +120,19 @@ assert rows[2]["scrapes"] > 0, rows[2]
 print(f"obs bench smoke: {len(rows)} rows, dispatch p98 finite")
 EOF
 
-echo "== cluster smoke (2 backends + cluster_router) =="
+echo "== cluster smoke (3 backends + cluster_router, one SIGKILLed) =="
 rm -f build/cluster_smoke.node1.out build/cluster_smoke.node2.out \
-  build/cluster_smoke.router.out build/cluster_smoke.fleetz \
-  build/cluster_smoke.trace.json
+  build/cluster_smoke.node3.out build/cluster_smoke.router.out \
+  build/cluster_smoke.fleetz build/cluster_smoke.trace.json
 ./build/examples/live_serving --listen=0 --admin-port=0 --speed=4 --gpus=2 \
   > build/cluster_smoke.node1.out 2>&1 &
 node1_pid=$!
 ./build/examples/live_serving --listen=0 --admin-port=0 --speed=4 --gpus=2 \
   > build/cluster_smoke.node2.out 2>&1 &
 node2_pid=$!
+./build/examples/live_serving --listen=0 --admin-port=0 --speed=4 --gpus=2 \
+  > build/cluster_smoke.node3.out 2>&1 &
+node3_pid=$!
 cluster_port() {  # $1=log $2=line prefix
   sed -n "s/^$2 127\.0\.0\.1:\([0-9]*\).*/\1/p" "$1" | head -1
 }
@@ -144,14 +149,16 @@ node1_port=$(wait_port build/cluster_smoke.node1.out "listening on")
 node1_admin=$(wait_port build/cluster_smoke.node1.out "admin plane on")
 node2_port=$(wait_port build/cluster_smoke.node2.out "listening on")
 node2_admin=$(wait_port build/cluster_smoke.node2.out "admin plane on")
+node3_port=$(wait_port build/cluster_smoke.node3.out "listening on")
+node3_admin=$(wait_port build/cluster_smoke.node3.out "admin plane on")
 if [[ -z "$node1_port" || -z "$node1_admin" || -z "$node2_port" || \
-      -z "$node2_admin" ]]; then
-  kill "$node1_pid" "$node2_pid" 2>/dev/null || true
+      -z "$node2_admin" || -z "$node3_port" || -z "$node3_admin" ]]; then
+  kill "$node1_pid" "$node2_pid" "$node3_pid" 2>/dev/null || true
   echo "cluster smoke: backends never announced their ports" >&2
   exit 1
 fi
 ./build/examples/cluster_router \
-  --nodes="${node1_port}:${node1_admin},${node2_port}:${node2_admin}" \
+  --nodes="${node1_port}:${node1_admin},${node2_port}:${node2_admin},${node3_port}:${node3_admin}" \
   --policy=queue-delay --trace-sample=1 \
   --trace-out=build/cluster_smoke.trace.json \
   > build/cluster_smoke.router.out 2>&1 &
@@ -159,12 +166,27 @@ router_pid=$!
 router_port=$(wait_port build/cluster_smoke.router.out "router listening on")
 router_admin=$(wait_port build/cluster_smoke.router.out "router admin on")
 if [[ -z "$router_port" || -z "$router_admin" ]]; then
-  kill "$router_pid" "$node1_pid" "$node2_pid" 2>/dev/null || true
+  kill "$router_pid" "$node1_pid" "$node2_pid" "$node3_pid" 2>/dev/null || true
   echo "cluster smoke: router never announced its ports" >&2
   exit 1
 fi
-./build/examples/live_serving --connect="$router_port" --seconds=2 \
-  --rate=200 --speed=4 | tee build/cluster_smoke.load.out
+# The third backend is SIGKILLed mid-load (once the router has accepted a
+# quarter of the ~1600 requests): the router must re-route whatever was in
+# flight on it to the survivors and lose nothing.
+./build/examples/live_serving --connect="$router_port" --seconds=8 \
+  --rate=200 --speed=4 > build/cluster_smoke.load.out &
+load_pid=$!
+for _ in $(seq 1 200); do
+  accepted=$(curl -sf "http://127.0.0.1:${router_admin}/statusz" |
+    python3 -c 'import json, sys; print(json.load(sys.stdin)["accepted"])' \
+    2>/dev/null || echo 0)
+  (( accepted >= 400 )) && break
+  sleep 0.05
+done
+kill -KILL "$node3_pid"
+wait "$node3_pid" 2>/dev/null || true
+wait "$load_pid"
+cat build/cluster_smoke.load.out
 grep -q "(lost 0)" build/cluster_smoke.load.out || {
   echo "cluster smoke: load generator reported losses" >&2
   exit 1
@@ -180,20 +202,28 @@ import json
 status = json.load(open("build/cluster_smoke.status"))
 assert status["healthy"] is True, status
 nodes = status["nodes"]
-assert len(nodes) == 2, nodes
-for n in nodes:
+assert len(nodes) == 3, nodes
+for n in nodes[:2]:
     assert n["state"] == "healthy", n
     assert n["routed"] > 0, f"node {n['id']} never routed: {n}"
-assert status["replies"] == status["accepted"] > 0, status
+    assert n["down_reason"] == "", n
+killed = nodes[2]
+assert killed["state"] == "evicted", killed
+assert killed["down_reason"], f"killed node has no down_reason: {killed}"
+assert status["accepted"] > 0, status
+assert status["replies"] + status["no_node"] == status["accepted"], status
+assert status["inflight"] == 0, status
 print(f"cluster smoke: {status['accepted']} requests over "
-      f"{[n['routed'] for n in nodes]} per-node routes, zero loss")
+      f"{[n['routed'] for n in nodes]} per-node routes, zero loss, "
+      f"{status['retries']} re-routed after node 2 died "
+      f"({killed['down_reason']})")
 EOF
 python3 - <<'EOF'
 import json
 fleet = json.load(open("build/cluster_smoke.fleetz"))
 assert fleet["router"]["healthy"] is True, fleet["router"]
-nodes = fleet["nodes"]
-assert len(nodes) == 2, nodes
+nodes = [n for n in fleet["nodes"] if n["state"] == "healthy"]
+assert len(nodes) == 2, fleet["nodes"]
 for n in nodes:
     assert n["reachable"] is True, f"node {n['id']} unreachable: {n}"
     assert n["statusz"]["live_workers"] > 0, n
@@ -388,7 +418,7 @@ if [[ "$run_tsan" == 1 ]]; then
   # halt_on_error so a reported race fails the gate rather than scrolling by.
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/arlo_tests \
-    --gtest_filter='Testbed.*:TestbedBatching.*:GenerativeTestbed.*:TelemetryConcurrency.*:TelemetrySinkTest.*:NetLoopback.*:ObsAdmin*:ObsFlightRecorder.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*'
+    --gtest_filter='Testbed.*:TestbedBatching.*:GenerativeTestbed.*:TelemetryConcurrency.*:TelemetrySinkTest.*:NetLoopback.*:NetClient.*:ObsAdmin*:ObsFlightRecorder.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*'
 fi
 
 if [[ "$run_asan" == 1 ]]; then

@@ -1,28 +1,30 @@
-// NodePool: the router's view of its backend nodes.  Owns one wire-protocol
-// connection + receiver thread per node, a prober thread that polls each
-// node's admin plane (/healthz + /statusz) and evicts nodes after N
-// consecutive probe failures, and the node lifecycle state machine:
+// NodePool: the router's table of backend nodes.  Each slot holds the
+// node's wire connection (a net::Conn the router's event loop reads and
+// flushes), its lifecycle state, its router-side counters, and the NodeView
+// the routing policy picks from.  A prober thread polls each node's admin
+// plane (/healthz + /statusz) and hands every result to the loop, which
+// evicts a node after N consecutive failures.  The lifecycle:
 //
 //   kJoining -> kHealthy -> kDraining -> kDrained
-//                  \-----------------------> kEvicted   (probe failure,
-//                                                        EOF, send error)
+//                  \-----------------------> kEvicted   (probe failures,
+//                                                        EOF, read/write
+//                                                        error, bad frame)
 //
 // Node ids are stable indices: an evicted or drained node keeps its slot,
-// and re-Joining the same endpoint resurrects the slot (reconnect + state
-// reset) rather than growing the pool.  The pool reports node death exactly
-// once per down transition via callbacks.on_down — the router uses that
-// signal to re-route the node's in-flight requests.
+// and re-Adopting the same endpoint resurrects the slot (new connection +
+// state reset) rather than growing the pool.  An eviction keeps its cause
+// on the slot (NodeStatus::down_reason) until the slot is resurrected.
 //
-// Submit path: the router Reserves a node at pick time (so policies see the
-// route at once), encodes the submit into its per-node batch, and writes the
-// whole batch with one SendFrames call.  A node's in-flight count is the
-// number of reservations not yet balanced by a reply, a failed send, or the
-// node going down (its requests are then re-routed, so the count resets).
+// In flight: the router Reserves a node when it picks it, so the next pick
+// already sees the route; a reply Releases it; going down zeroes it (the
+// router re-routes every request that was in flight there).  A draining
+// node closes its connection and reports kDrained once the count is zero.
 //
-// Thread-safety: Join/Drain/Stop may be called from any thread.  Reserve and
-// SendFrames are safe from many threads (per-node send mutex).  Callbacks
-// run on pool threads (receiver or prober) with no pool-wide lock held; they
-// may call back into the pool (except Stop/Join).
+// Threads: the router's event-loop thread owns the pool, and every method
+// not marked otherwise runs on it (or before the loop starts / after it
+// stops).  Status, NumNodes, NumRoutable and TotalInflight read values the
+// loop publishes and are safe from any thread.  The prober thread reads
+// admin ports and states only; it never touches a connection.
 #pragma once
 
 #include <atomic>
@@ -37,8 +39,7 @@
 #include <vector>
 
 #include "cluster/policy.h"
-#include "net/client.h"
-#include "net/protocol.h"
+#include "net/conn.h"
 #include "obs/probe.h"
 
 namespace arlo::telemetry {
@@ -70,19 +71,6 @@ struct NodePoolConfig {
   telemetry::TelemetrySink* sink = nullptr;  ///< optional
 };
 
-struct NodePoolCallbacks {
-  /// A reply arrived from `node`.  Runs on that node's receiver thread,
-  /// once per reply in what one read of the node connection returned.
-  std::function<void(int node, const net::Reply&)> on_reply;
-  /// The receiver of `node` relayed every reply it had buffered and is
-  /// about to block on the socket again: write out whatever on_reply staged.
-  /// Runs on the same thread as the on_reply calls it follows.
-  std::function<void(int node)> on_flush;
-  /// `node` went down (eviction or connection loss) — fired exactly once
-  /// per down transition, after the node stopped being routable.
-  std::function<void(int node)> on_down;
-};
-
 /// Everything /statusz reports about one node.
 struct NodeStatus {
   int node = -1;
@@ -93,107 +81,105 @@ struct NodeStatus {
   std::int64_t est_queue_delay_ns = 0;
   int live_workers = 0;
   int probe_failures = 0;  ///< consecutive, resets on success
+  /// Why the node was last evicted (EOF, a read or write errno, the
+  /// decoder's error, or N failed probes); empty while it never was.
+  std::string down_reason;
 };
 
 class NodePool {
  public:
-  NodePool(NodePoolConfig config, NodePoolCallbacks callbacks);
-  ~NodePool();  ///< Stop() if still running
+  /// Node connections are registered on `poller` (the router loop's).
+  NodePool(NodePoolConfig config, net::Poller& poller);
+  ~NodePool();  ///< StopProber()
 
   NodePool(const NodePool&) = delete;
   NodePool& operator=(const NodePool&) = delete;
 
-  /// Connects to the endpoint and adds it as a healthy node (or resurrects
-  /// the existing slot for the same port).  Returns the node id, or -1 when
-  /// the connect fails or the slot is still alive.
-  int Join(const NodeEndpoint& endpoint);
+  /// Adds the connected socket `fd` as a healthy node, or resurrects the
+  /// dead slot with the same serving port.  Returns the node id, or -1 (and
+  /// closes `fd`) when that slot is still alive.
+  int Adopt(const NodeEndpoint& endpoint, net::ScopedFd fd);
 
-  /// Starts the prober thread.  Call once after the initial Joins.
-  void Start();
-
-  /// Stops routing new work to `node`; once its router-side in-flight count
-  /// reaches zero the connection closes and the node reports kDrained.
-  /// Returns false for unknown or already-dead nodes.
+  /// Stops routing new work to `node`; once its in-flight count reaches
+  /// zero the connection closes and the node reports kDrained.  Returns
+  /// false for unknown or not-healthy nodes.
   bool Drain(int node);
 
-  /// Shuts down every connection and joins all pool threads.
-  void Stop();
+  /// Marks `node` evicted for `reason`, closes its connection and zeroes
+  /// its in-flight count.  Returns false (changing nothing) when the node
+  /// was not healthy or draining.
+  bool MarkDown(int node, std::string reason);
 
-  /// Counts one request in flight on `node` ahead of its write.  Returns
-  /// false (counting nothing) when the node is not routable.
-  bool Reserve(int node);
+  /// Applies one probe result.  Returns true when it was the Nth failure in
+  /// a row on a healthy node: the caller evicts it.
+  bool ApplyProbe(int node, const obs::NodeProbe& probe);
 
-  /// Writes `count` encoded submit frames, each already Reserved, to `node`
-  /// in one call.  A node that began draining after the Reserve still takes
-  /// them.  On failure all `count` reservations are released and false is
-  /// returned; only a failed write reports the node down (HandleDown).
-  bool SendFrames(int node, const std::vector<std::uint8_t>& bytes, int count);
+  /// Counts one request in flight on `node` (a routable node).
+  void Reserve(int node);
+  /// Balances one Reserve when its reply arrived.  A positive `service_ns`
+  /// (from the reply) feeds the service-time EWMA that EffectiveQueueDelay
+  /// uses to de-herd stale probe estimates.
+  void Release(int node, std::int64_t service_ns);
+  /// `count` reserved frames were handed to `node`'s socket.
+  void NoteRouted(int node, int count);
 
-  /// Reserve + encode + SendFrames for a single submit.
-  bool Send(int node, const net::SubmitRequest& request);
+  /// The node whose connection is `fd`, or -1.
+  int NodeForFd(int fd) const;
+  net::Conn& ConnOf(int node) {
+    return nodes_[static_cast<std::size_t>(node)]->conn;
+  }
+  /// Policy input, kept current in place: one NodeView per slot.
+  const std::vector<NodeView>& Views() const { return views_; }
 
-  /// Balances one reservation when its request resolved (a reply from
-  /// `node`).  A positive `service_ns` (from the backend's reply) feeds the
-  /// per-node service-time EWMA that EffectiveQueueDelay uses to de-herd
-  /// stale probe estimates.
-  void NoteDone(int node, std::int64_t service_ns = 0);
+  /// Closes every node connection (router shutdown).
+  void CloseAll();
 
-  /// Policy input: one NodeView per slot (index == node id).
-  std::vector<NodeView> Snapshot() const;
+  /// Receives each probe result on the prober thread.
+  using ProbeSink = std::function<void(int node, const obs::NodeProbe&)>;
+  /// Starts the prober thread; it hands each probe result to `deliver`.
+  void StartProber(ProbeSink deliver);
+  void StopProber();
 
-  /// Introspection for /statusz.
+  /// Introspection for /statusz.  Any thread.
   std::vector<NodeStatus> Status() const;
-
-  int NumNodes() const;
-  int NumRoutable() const;
-  std::int64_t TotalInflight() const;
+  int NumNodes() const;      ///< any thread
+  int NumRoutable() const;   ///< any thread
+  std::int64_t TotalInflight() const;  ///< any thread
 
  private:
   struct Node {
+    // Written by the loop under slots_mu_, read by Status:
     NodeEndpoint endpoint;
-    std::mutex send_mu;
-    net::ClientConnection conn;  // guarded by send_mu for writes/Connect
-    std::thread receiver;
+    std::string down_reason;
+    // Published by the loop for other threads:
     std::atomic<int> state{static_cast<int>(NodeState::kJoining)};
-    std::atomic<bool> down_reported{false};
     std::atomic<int> inflight{0};
     std::atomic<std::int64_t> routed{0};
-    /// Per-request service time EWMA from replies (lossy read-modify-write
-    /// race between concurrent replies is fine for an estimate).
-    std::atomic<std::int64_t> service_ewma_ns{0};
-    mutable std::mutex probe_mu;
-    obs::NodeProbe last_probe;          // guarded by probe_mu
     std::atomic<int> probe_failures{0};
+    std::atomic<std::int64_t> est_queue_delay_ns{0};
+    std::atomic<int> live_workers{0};
+    // Loop only:
+    net::Conn conn;
   };
 
-  /// Resolves a node id to its stable Node object under pool_mu_ (Join may
-  /// reallocate nodes_ concurrently; the pointed-to Nodes never move or
-  /// die).  Null for out-of-range ids.
-  Node* GetNode(int node) const;
-  /// Stable pointers to every current slot, index == node id.
-  std::vector<Node*> AllNodes() const;
-
-  /// Drops `count` reservations, never below zero: a down transition
-  /// already reset the count its stragglers would release.
-  void Release(Node& n, int count);
-  void ReceiverLoop(int node);
-  void ProberLoop();
-  void ProbeOnce(int node);
-  /// The single funnel for unplanned node death (receiver EOF, send error,
-  /// probe eviction).  Exactly-once via down_reported.
-  void HandleDown(int node);
-  void FinishDrainIfIdle(Node& n);
+  NodeState StateOf(int node) const;
+  void SetState(int node, NodeState state);
+  void SetInflight(int node, int inflight);
+  void CloseConn(Node& n);
+  void FinishDrainIfIdle(int node);
+  void ProberLoop(const ProbeSink& deliver);
 
   NodePoolConfig config_;
-  NodePoolCallbacks callbacks_;
+  net::Poller& poller_;
 
-  mutable std::mutex pool_mu_;  ///< guards nodes_ growth
+  mutable std::mutex slots_mu_;  ///< guards nodes_ growth and Node strings
   std::vector<std::unique_ptr<Node>> nodes_;  // slots never removed
+  std::vector<NodeView> views_;  // loop only; index == node id
 
-  std::atomic<bool> stopping_{false};
-  std::thread prober_;
   std::mutex prober_mu_;
   std::condition_variable prober_cv_;
+  bool prober_stopping_ = false;  // guarded by prober_mu_
+  std::thread prober_;  // last: it uses every member above
 };
 
 }  // namespace arlo::cluster

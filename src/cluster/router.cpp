@@ -1,12 +1,14 @@
 #include "cluster/router.h"
 
-#include <sys/socket.h>
-
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
+#include <future>
 #include <ostream>
 #include <stdexcept>
 
+#include "common/check.h"
 #include "telemetry/sink.h"
 
 namespace arlo::cluster {
@@ -18,17 +20,10 @@ std::int64_t NowNs() {
       .count();
 }
 
-/// Best-effort full write; a failure means the client left, which the
-/// reader thread will notice — the reply is simply dropped.
-void SendAll(int fd, const std::vector<std::uint8_t>& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) return;
-    off += static_cast<std::size_t>(n);
-  }
-}
+/// Min-heap order for the retry heap: earliest due time on top.
+constexpr auto kLaterDue = [](const auto& a, const auto& b) {
+  return a.due_ns > b.due_ns;
+};
 
 }  // namespace
 
@@ -48,76 +43,92 @@ void Router::Start() {
   }
   retry_rng_ = Rng(config_.seed);
   listen_ = net::ListenTcp(config_.port);
+  net::SetNonBlocking(listen_.Get());
+  poller_.Add(listen_.Get(), /*want_read=*/true, /*want_write=*/false);
+  poller_.Add(wake_.ReadFd(), /*want_read=*/true, /*want_write=*/false);
 
   NodePoolConfig pool_config;
   pool_config.probe_period = config_.probe_period;
   pool_config.probe_failures_to_evict = config_.probe_failures_to_evict;
   pool_config.sink = config_.sink;
-  NodePoolCallbacks callbacks;
-  callbacks.on_reply = [this](int node, const net::Reply& reply) {
-    OnNodeReply(node, reply);
-  };
-  callbacks.on_flush = [this](int) { FlushStagedReplies(); };
-  callbacks.on_down = [this](int node) { OnNodeDown(node); };
-  pool_ = std::make_unique<NodePool>(pool_config, std::move(callbacks));
-  for (const NodeEndpoint& endpoint : config_.nodes) pool_->Join(endpoint);
-  pool_->Start();
+  pool_ = std::make_unique<NodePool>(pool_config, poller_);
+  for (const NodeEndpoint& endpoint : config_.nodes) JoinNode(endpoint);
 
-  retry_thread_ = std::thread([this] { RetryLoop(); });
-  acceptor_ = std::thread([this] { AcceptLoop(); });
+  {
+    std::lock_guard lock(mailbox_mu_);
+    loop_state_ = LoopState::kRunning;
+  }
+  loop_ = std::thread([this] { Loop(); });
+  pool_->StartProber([this](int node, const obs::NodeProbe& probe) {
+    Post([this, node, probe] {
+      if (pool_->ApplyProbe(node, probe)) {
+        NodeDown(node, std::to_string(config_.probe_failures_to_evict) +
+                           " consecutive failed probes");
+      }
+    });
+  });
   running_.store(true, std::memory_order_release);
 }
 
 void Router::Stop() {
-  if (!running_.load(std::memory_order_acquire)) return;
-  if (stopping_.exchange(true)) return;
-  if (listen_.Valid()) ::shutdown(listen_.Get(), SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
+  if (!running_.exchange(false)) return;
+  pool_->StopProber();
   {
-    std::lock_guard lock(conns_mu_);
-    for (auto& [id, conn] : conns_) {
-      if (conn->fd.Valid()) ::shutdown(conn->fd.Get(), SHUT_RDWR);
-    }
+    std::lock_guard lock(mailbox_mu_);
+    loop_state_ = LoopState::kStopped;
   }
-  // Readers erase themselves into the zombie list as their sockets die;
-  // joining through the list (which Stop's erase loop below feeds) reaps
-  // every reader exactly once.
-  for (;;) {
-    std::shared_ptr<ClientConn> conn;
-    {
-      std::lock_guard lock(conns_mu_);
-      if (!zombies_.empty()) {
-        conn = std::move(zombies_.back());
-        zombies_.pop_back();
-      } else if (!conns_.empty()) {
-        conn = conns_.begin()->second;
-        conns_.erase(conns_.begin());
-      }
-    }
-    if (!conn) break;
-    if (conn->reader.joinable()) conn->reader.join();
-  }
-  pool_->Stop();
-  {
-    std::lock_guard lock(retry_mu_);
-    retry_cv_.notify_all();
-  }
-  if (retry_thread_.joinable()) retry_thread_.join();
-  {
-    std::lock_guard lock(pending_mu_);
-    pending_.clear();  // shutdown drops unresolved requests
-  }
+  wake_.Wake();
+  loop_.join();
+  // The loop is gone; its state is this thread's now.  Closing the client
+  // sockets is what tells blocked clients the router left.
+  clients_.clear();
+  pool_->CloseAll();
+  pending_.clear();  // shutdown drops unresolved requests
+  retry_heap_.clear();
+  inflight_.store(0, std::memory_order_relaxed);
   listen_.Reset();
-  running_.store(false, std::memory_order_release);
 }
 
 std::uint16_t Router::Port() const { return net::LocalPort(listen_.Get()); }
 
-int Router::JoinNode(const NodeEndpoint& endpoint) {
-  return pool_->Join(endpoint);
+bool Router::Post(std::function<void()> fn) {
+  {
+    std::lock_guard lock(mailbox_mu_);
+    if (loop_state_ != LoopState::kRunning) return false;
+    mailbox_.push_back(std::move(fn));
+  }
+  wake_.Wake();
+  return true;
 }
 
-bool Router::DrainNode(int node) { return pool_->Drain(node); }
+int Router::OnLoop(const std::function<int()>& fn, int stopped) {
+  // A throw inside `fn` reaches the caller through the future, not the loop.
+  std::packaged_task<int()> task(fn);
+  std::future<int> result = task.get_future();
+  if (Post([&task] { task(); })) return result.get();
+  std::lock_guard lock(mailbox_mu_);
+  // Idle: Start is joining the configured nodes and no loop exists yet.
+  return loop_state_ == LoopState::kIdle ? fn() : stopped;
+}
+
+int Router::JoinNode(const NodeEndpoint& endpoint) {
+  if (!pool_) return -1;
+  // The blocking connect runs on the caller's thread, never on the loop.
+  net::ScopedFd fd;
+  try {
+    fd = net::ConnectTcp(endpoint.port);
+    net::SetNonBlocking(fd.Get());
+    net::SetNoDelay(fd.Get());
+  } catch (const std::exception&) {
+    return -1;
+  }
+  return OnLoop([&] { return pool_->Adopt(endpoint, std::move(fd)); }, -1);
+}
+
+bool Router::DrainNode(int node) {
+  if (!pool_) return false;
+  return OnLoop([&] { return pool_->Drain(node) ? 1 : 0; }, 0) != 0;
+}
 
 bool Router::Healthy() const { return pool_ && pool_->NumRoutable() > 0; }
 
@@ -135,224 +146,262 @@ Router::Stats Router::GetStats() const {
   return stats;
 }
 
-void Router::AcceptLoop() {
+void Router::Loop() {
+  std::vector<net::PollEvent> events;
+  for (bool open = true; open;) {
+    poller_.Wait(PollTimeoutMs(), events);
+    for (const net::PollEvent& event : events) {
+      if (event.fd == wake_.ReadFd()) {
+        wake_.Drain();
+        open = RunMailbox();
+      } else if (event.fd == listen_.Get()) {
+        AcceptClients();
+      } else if (auto client = clients_.find(event.fd);
+                 client != clients_.end()) {
+        OnClientEvent(*client->second, event);
+      } else if (const int node = pool_->NodeForFd(event.fd); node >= 0) {
+        OnNodeEvent(node, event);
+      }
+    }
+    RouteDueRetries();
+    FlushPeers();
+    // Conservation: every accepted request is answered, shed, or pending.
+    // A failure ends the process: the books no longer balance, so no reply
+    // the router would send afterwards can be trusted.
+    ARLO_CHECK(accepted_.load(std::memory_order_relaxed) ==
+               replies_.load(std::memory_order_relaxed) +
+                   no_node_.load(std::memory_order_relaxed) +
+                   pending_.size());
+    inflight_.store(pending_.size(), std::memory_order_relaxed);
+  }
+}
+
+bool Router::RunMailbox() {
+  std::vector<std::function<void()>> mail;
+  bool open = true;
+  {
+    std::lock_guard lock(mailbox_mu_);
+    mail.swap(mailbox_);
+    // Stop refuses posts from here on, so `mail` holds the last of them.
+    open = loop_state_ != LoopState::kStopped;
+  }
+  for (const auto& fn : mail) fn();
+  return open;
+}
+
+int Router::PollTimeoutMs() const {
+  if (retry_heap_.empty()) return -1;
+  const std::int64_t wait_ns = retry_heap_.front().due_ns - NowNs();
+  if (wait_ns <= 0) return 0;
+  return static_cast<int>((wait_ns + 999'999) / 1'000'000);
+}
+
+void Router::AcceptClients() {
   for (;;) {
-    const int fd = ::accept(listen_.Get(), nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      if (errno == EINTR) continue;
-      return;  // listen socket shut down
-    }
-    net::SetNoDelay(fd);
-    auto conn = std::make_shared<ClientConn>();
-    conn->fd = net::ScopedFd(fd);
-    {
-      std::lock_guard lock(conns_mu_);
-      conn->id = next_conn_id_++;
-      conns_[conn->id] = conn;
-      // Reap readers whose clients already left (they are finished or
-      // about to be; join is near-instant).
-      for (auto& zombie : zombies_) {
-        if (zombie->reader.joinable()) zombie->reader.join();
-      }
-      zombies_.clear();
-    }
-    conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
+    net::ScopedFd fd = net::AcceptConn(listen_.Get());
+    if (!fd.Valid()) return;
+    const int raw = fd.Get();
+    auto conn = std::make_unique<net::Conn>();
+    conn->fd = std::move(fd);
+    conn->id = next_conn_id_++;
+    poller_.Add(raw, /*want_read=*/true, /*want_write=*/false);
+    clients_[raw] = std::move(conn);
   }
 }
 
-void Router::ReaderLoop(std::shared_ptr<ClientConn> conn) {
-  net::FrameDecoder decoder;
-  Outbox outbox;
-  std::uint8_t buf[4096];
-  bool alive = true;
-  while (alive) {
-    const ssize_t n = ::recv(conn->fd.Get(), buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    decoder.Feed(buf, static_cast<std::size_t>(n));
-    net::Frame frame;
-    for (;;) {
-      const auto result = decoder.Next(frame);
-      if (result == net::FrameDecoder::Result::kNeedMore) break;
-      if (result == net::FrameDecoder::Result::kError ||
-          frame.type != net::MsgType::kSubmit) {
-        alive = false;  // protocol error: drop the connection
-        break;
-      }
-      HandleSubmit(conn, frame.submit, outbox);
-    }
-    // Everything this recv carried goes out before the next blocking recv.
-    Flush(outbox);
-  }
-  std::lock_guard lock(conns_mu_);
-  conns_.erase(conn->id);
-  zombies_.push_back(conn);  // Stop/AcceptLoop joins the thread
+void Router::CloseClient(int fd) {
+  // Its pending requests stay: they resolve as usual and their replies are
+  // dropped, which keeps the conservation check exact.
+  poller_.Remove(fd);
+  clients_.erase(fd);
 }
 
-void Router::HandleSubmit(const std::shared_ptr<ClientConn>& conn,
-                          const net::SubmitRequest& submit, Outbox& outbox) {
+void Router::OnClientEvent(net::Conn& conn, const net::PollEvent& event) {
+  const int fd = conn.fd.Get();
+  if (event.readable && !ReadClient(conn)) return;  // closed
+  if (event.writable) {
+    TouchClient(fd);
+  } else if (event.hangup && !event.readable) {
+    CloseClient(fd);
+  }
+}
+
+bool Router::ReadClient(net::Conn& conn) {
+  // One recv per readiness event: the poller is level-triggered, so bytes
+  // left in the socket report again on the next pass.
+  const ssize_t n = net::RecvInto(conn);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+  if (n <= 0) {
+    CloseClient(conn.fd.Get());
+    return false;
+  }
+  net::Frame frame;
+  for (;;) {
+    const auto result = conn.decoder.Next(frame);
+    if (result == net::FrameDecoder::Result::kNeedMore) return true;
+    if (result == net::FrameDecoder::Result::kError ||
+        frame.type != net::MsgType::kSubmit) {
+      CloseClient(conn.fd.Get());  // protocol error: drop the connection
+      return false;
+    }
+    HandleSubmit(conn, frame.submit);
+  }
+}
+
+void Router::OnNodeEvent(int node, const net::PollEvent& event) {
+  if (event.readable && !ReadNode(node)) return;  // went down
+  if (event.writable) {
+    TouchNode(node, 0);
+  } else if (event.hangup && !event.readable) {
+    NodeDown(node, "connection hung up");
+  }
+}
+
+bool Router::ReadNode(int node) {
+  net::Conn& conn = pool_->ConnOf(node);
+  const ssize_t n = net::RecvInto(conn);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+  if (n < 0) {
+    NodeDown(node, std::string("read failed: ") + std::strerror(errno));
+    return false;
+  }
+  if (n == 0) {
+    NodeDown(node, "connection closed by the node");
+    return false;
+  }
+  net::Frame frame;
+  for (;;) {
+    const auto result = conn.decoder.Next(frame);
+    // A reply that finishes a drain closes the connection and empties the
+    // decoder, so this is also how a drained node's read ends.
+    if (result == net::FrameDecoder::Result::kNeedMore) {
+      return conn.fd.Valid();
+    }
+    if (result == net::FrameDecoder::Result::kError) {
+      NodeDown(node, "protocol error: " + conn.decoder.Error());
+      return false;
+    }
+    if (frame.type != net::MsgType::kReply) {
+      NodeDown(node, "protocol error: submit frame from a node");
+      return false;
+    }
+    OnNodeReply(node, frame.reply);
+  }
+}
+
+void Router::TouchNode(int node, int frames) {
+  auto it = std::find_if(dirty_nodes_.begin(), dirty_nodes_.end(),
+                         [node](const DirtyNode& d) { return d.node == node; });
+  if (it == dirty_nodes_.end()) {
+    dirty_nodes_.push_back({node, frames});
+  } else {
+    it->frames += frames;
+  }
+}
+
+void Router::TouchClient(int fd) {
+  if (std::find(dirty_clients_.begin(), dirty_clients_.end(), fd) ==
+      dirty_clients_.end()) {
+    dirty_clients_.push_back(fd);
+  }
+}
+
+void Router::HandleSubmit(const net::Conn& client,
+                          const net::SubmitRequest& submit) {
   accepted_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t request_id =
-      next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  PendingRoute pending;
-  pending.conn_id = conn->id;
+  const std::uint64_t request_id = next_request_id_++;
+  PendingRoute& pending = pending_[request_id];
+  pending.conn_fd = client.fd.Get();
+  pending.conn_id = client.id;
   pending.client_id = submit.id;
   pending.client_request_id = submit.request_id;
   pending.forward = submit;
   pending.forward.request_id = request_id;
-  pending.node = -1;
   pending.first_sent_ns = NowNs();
   // The router is the sampling head for cluster traffic, but a client that
   // already opted in keeps its trace across the hop.
   pending.traced = (submit.flags & net::kSubmitFlagTrace) != 0 ||
                    telemetry::TraceSampled(request_id, config_.trace_sample_n);
   if (pending.traced) pending.forward.flags |= net::kSubmitFlagTrace;
-  {
-    std::lock_guard lock(pending_mu_);
-    pending_.emplace(request_id, pending);
+  Route(request_id, pending);
+}
+
+void Router::Route(std::uint64_t request_id, PendingRoute& pending) {
+  const std::int64_t pick_start = pending.traced ? NowNs() : 0;
+  const int node = policy_->Pick(pending.forward.length, pool_->Views());
+  if (node < 0) {
+    Shed(request_id);
+    return;
   }
-  Route(request_id, pending.forward, pending.traced, outbox);
-}
-
-int Router::PickNode(std::uint32_t length) {
-  const std::vector<NodeView> views = pool_->Snapshot();
-  std::lock_guard lock(policy_mu_);
-  return policy_->Pick(length, views);
-}
-
-void Router::Outbox::Add(int node, std::uint64_t request_id,
-                         const net::SubmitRequest& forward) {
-  auto it = std::find_if(batches.begin(), batches.end(),
-                         [node](const Batch& b) { return b.node == node; });
-  if (it == batches.end()) {
-    batches.emplace_back();
-    it = batches.end() - 1;
-    it->node = node;
+  pending.node = node;
+  ++pending.attempts;
+  if (pending.traced) {
+    pending.last_sent_ns = NowNs();
+    pending.pick_ns += pending.last_sent_ns - pick_start;
   }
-  net::EncodeSubmit(forward, it->bytes);
-  it->request_ids.push_back(request_id);
+  // Reserved at pick, so the next pick in this pass already sees it.
+  pool_->Reserve(node);
+  net::EncodeSubmit(pending.forward, pool_->ConnOf(node).out);
+  TouchNode(node, 1);
 }
 
-void Router::Route(std::uint64_t request_id, const net::SubmitRequest& forward,
-                   bool traced, Outbox& outbox) {
-  for (;;) {
-    const std::int64_t pick_start = traced ? NowNs() : 0;
-    const int node = PickNode(forward.length);
-    const std::int64_t pick_elapsed = traced ? NowNs() - pick_start : 0;
-    if (node < 0) {
-      ShedParked(request_id);
-      return;
-    }
-    {
-      std::lock_guard lock(pending_mu_);
-      auto it = pending_.find(request_id);
-      // Gone: a reply resolved it.  node != -1: another path owns it.
-      if (it == pending_.end() || it->second.node != -1) return;
-      it->second.node = node;
-      ++it->second.attempts;
-      if (traced) {
-        it->second.pick_ns += pick_elapsed;
-        it->second.last_sent_ns = NowNs();
-      }
-    }
-    // Reserved at pick, so the next pick in this batch already sees it.
-    if (pool_->Reserve(node)) {
-      outbox.Add(node, request_id, forward);
-      return;
-    }
-    // The node stopped being routable after the pick, so the re-pick
-    // cannot land on it again.
-    if (!DetachFailedSend(request_id, node)) return;
-  }
-}
-
-void Router::RouteParked(std::uint64_t request_id, Outbox& outbox) {
-  net::SubmitRequest forward;
-  bool traced = false;
-  {
-    std::lock_guard lock(pending_mu_);
+void Router::RouteDueRetries() {
+  if (retry_heap_.empty()) return;
+  const std::int64_t now = NowNs();
+  while (!retry_heap_.empty() && retry_heap_.front().due_ns <= now) {
+    std::pop_heap(retry_heap_.begin(), retry_heap_.end(),
+                  kLaterDue);
+    const std::uint64_t request_id = retry_heap_.back().request_id;
+    retry_heap_.pop_back();
     auto it = pending_.find(request_id);
-    if (it == pending_.end() || it->second.node != -1) return;
-    forward = it->second.forward;
-    traced = it->second.traced;
-    if (traced && it->second.parked_at_ns != 0) {
-      // Close out the retry-queue park that just ended.
-      it->second.park_ns += NowNs() - it->second.parked_at_ns;
-      it->second.parked_at_ns = 0;
+    if (it == pending_.end() || it->second.node != -1) continue;
+    PendingRoute& pending = it->second;
+    if (pending.traced && pending.parked_at_ns != 0) {
+      // Close out the retry-heap park that just ended.
+      pending.park_ns += now - pending.parked_at_ns;
+      pending.parked_at_ns = 0;
     }
-  }
-  Route(request_id, forward, traced, outbox);
-}
-
-void Router::Flush(Outbox& outbox) {
-  std::vector<std::uint64_t> reroute;
-  for (;;) {
-    for (Outbox::Batch& batch : outbox.batches) {
-      if (batch.request_ids.empty()) continue;
-      const int count = static_cast<int>(batch.request_ids.size());
-      if (pool_->SendFrames(batch.node, batch.bytes, count)) {
-        routed_.fetch_add(static_cast<std::uint64_t>(count),
-                          std::memory_order_relaxed);
-        if (config_.sink) {
-          config_.sink->RecordClusterRouted(batch.node,
-                                            static_cast<std::uint64_t>(count));
-        }
-      } else {
-        // A failed write reported the node down synchronously, so
-        // OnNodeDown may already have parked some of these.
-        for (const std::uint64_t request_id : batch.request_ids) {
-          if (DetachFailedSend(request_id, batch.node)) {
-            reroute.push_back(request_id);
-          }
-        }
-      }
-      batch.bytes.clear();
-      batch.request_ids.clear();
-    }
-    if (reroute.empty()) return;
-    for (const std::uint64_t request_id : reroute) {
-      RouteParked(request_id, outbox);
-    }
-    reroute.clear();
+    Route(request_id, pending);
   }
 }
 
-bool Router::DetachFailedSend(std::uint64_t request_id, int node) {
-  bool exhausted = false;
-  {
-    std::lock_guard lock(pending_mu_);
-    auto it = pending_.find(request_id);
-    if (it == pending_.end() || it->second.node != node) return false;
-    it->second.node = -1;
-    exhausted = it->second.attempts >= config_.retry.max_attempts;
+void Router::FlushPeers() {
+  // Indexed: a failed write parks requests, and a shed queues a reply.
+  for (std::size_t i = 0; i < dirty_nodes_.size(); ++i) {
+    const DirtyNode dirty = dirty_nodes_[i];
+    net::Conn& conn = pool_->ConnOf(dirty.node);
+    if (!conn.fd.Valid()) continue;  // went down this pass; frames parked
+    if (net::FlushConn(poller_, conn) < 0) {
+      NodeDown(dirty.node,
+               std::string("write failed: ") + std::strerror(errno));
+      continue;
+    }
+    if (dirty.frames == 0) continue;
+    routed_.fetch_add(static_cast<std::uint64_t>(dirty.frames),
+                      std::memory_order_relaxed);
+    pool_->NoteRouted(dirty.node, dirty.frames);
+    if (config_.sink) {
+      config_.sink->RecordClusterRouted(
+          dirty.node, static_cast<std::uint64_t>(dirty.frames));
+    }
   }
-  if (!exhausted) return true;
-  ShedParked(request_id);
-  return false;
-}
-
-void Router::ShedParked(std::uint64_t request_id) {
-  PendingRoute pending;
-  {
-    std::lock_guard lock(pending_mu_);
-    auto it = pending_.find(request_id);
-    if (it == pending_.end() || it->second.node != -1) return;
-    pending = std::move(it->second);
-    pending_.erase(it);
+  dirty_nodes_.clear();
+  for (const int fd : dirty_clients_) {
+    auto it = clients_.find(fd);
+    if (it == clients_.end()) continue;
+    if (net::FlushConn(poller_, *it->second) < 0) CloseClient(fd);
   }
-  ShedNoNode(pending);
+  dirty_clients_.clear();
 }
 
 void Router::OnNodeReply(int node, const net::Reply& reply) {
-  pool_->NoteDone(node, reply.service_ns);
-  PendingRoute pending;
-  {
-    std::lock_guard lock(pending_mu_);
-    auto it = pending_.find(reply.request_id);
-    if (it == pending_.end()) return;  // resolved elsewhere (late reply)
-    pending = std::move(it->second);
-    pending_.erase(it);
-  }
+  auto it = pending_.find(reply.request_id);
+  // Every reply a live connection carries is for a request in flight on it;
+  // anything else is a confused backend, and ignoring it keeps the books.
+  if (it == pending_.end() || it->second.node != node) return;
+  const PendingRoute pending = std::move(it->second);
+  pending_.erase(it);
+  pool_->Release(node, reply.service_ns);
   replies_.fetch_add(1, std::memory_order_relaxed);
   const std::int64_t recv_ns = NowNs();
   const std::int64_t e2e_ns = recv_ns - pending.first_sent_ns;
@@ -390,23 +439,22 @@ void Router::OnNodeReply(int node, const net::Reply& reply) {
     }
     out.annex = std::move(timeline);
   }
-  StageReply(pending.conn_id, out);
+  QueueReply(pending, out);
 }
 
-void Router::OnNodeDown(int node) {
-  // Detach every pending entry in flight on the dead node under the same
-  // mutex the reply path erases under: whichever runs first owns each
-  // request, so a reply that raced in just before the death still wins and
-  // no request is handled twice.
+void Router::NodeDown(int node, std::string reason) {
+  if (!pool_->MarkDown(node, std::move(reason))) return;
+  // Its queued frames went with the connection; their requests are parked
+  // below, so they count as routed only where they land next.
+  for (DirtyNode& dirty : dirty_nodes_) {
+    if (dirty.node == node) dirty.frames = 0;
+  }
   std::vector<std::pair<std::uint64_t, int>> orphaned;  // request_id, attempts
-  {
-    std::lock_guard lock(pending_mu_);
-    for (auto& [request_id, pending] : pending_) {
-      if (pending.node != node) continue;
-      pending.node = -1;
-      if (pending.traced) pending.parked_at_ns = NowNs();
-      orphaned.emplace_back(request_id, pending.attempts);
-    }
+  for (auto& [request_id, pending] : pending_) {
+    if (pending.node != node) continue;
+    pending.node = -1;
+    if (pending.traced) pending.parked_at_ns = NowNs();
+    orphaned.emplace_back(request_id, pending.attempts);
   }
   for (const auto& [request_id, attempts] : orphaned) {
     retries_.fetch_add(1, std::memory_order_relaxed);
@@ -417,96 +465,36 @@ void Router::OnNodeDown(int node) {
 
 void Router::ParkForRetry(std::uint64_t request_id, int attempts) {
   if (attempts >= config_.retry.max_attempts) {
-    ShedParked(request_id);
+    Shed(request_id);
     return;
   }
-  std::lock_guard lock(retry_mu_);
   RetryEntry entry;
   entry.request_id = request_id;
-  entry.due_ns =
-      NowNs() + config_.retry.BackoffFor(std::max(0, attempts - 1),
-                                         retry_rng_);
-  retry_queue_.push_back(entry);
-  std::push_heap(retry_queue_.begin(), retry_queue_.end(),
-                 [](const RetryEntry& a, const RetryEntry& b) {
-                   return a.due_ns > b.due_ns;
-                 });
-  retry_cv_.notify_all();
+  entry.due_ns = NowNs() + config_.retry.BackoffFor(std::max(0, attempts - 1),
+                                                    retry_rng_);
+  retry_heap_.push_back(entry);
+  std::push_heap(retry_heap_.begin(), retry_heap_.end(),
+                 kLaterDue);
 }
 
-void Router::RetryLoop() {
-  const auto later_due = [](const RetryEntry& a, const RetryEntry& b) {
-    return a.due_ns > b.due_ns;
-  };
-  Outbox outbox;
-  for (;;) {
-    std::uint64_t request_id = 0;
-    {
-      std::unique_lock lock(retry_mu_);
-      for (;;) {
-        if (stopping_.load(std::memory_order_acquire)) return;
-        if (retry_queue_.empty()) {
-          retry_cv_.wait(lock);
-          continue;
-        }
-        const std::int64_t due = retry_queue_.front().due_ns;
-        const std::int64_t now = NowNs();
-        if (due <= now) break;
-        retry_cv_.wait_for(lock, std::chrono::nanoseconds(due - now));
-      }
-      std::pop_heap(retry_queue_.begin(), retry_queue_.end(), later_due);
-      request_id = retry_queue_.back().request_id;
-      retry_queue_.pop_back();
-    }
-    RouteParked(request_id, outbox);
-    Flush(outbox);
-  }
-}
-
-void Router::ShedNoNode(const PendingRoute& pending) {
+void Router::Shed(std::uint64_t request_id) {
+  auto it = pending_.find(request_id);
+  const PendingRoute pending = std::move(it->second);
+  pending_.erase(it);
   no_node_.fetch_add(1, std::memory_order_relaxed);
   if (config_.sink) config_.sink->RecordClusterNoNode();
   net::Reply reply;
   reply.id = pending.client_id;
   reply.request_id = pending.client_request_id;
   reply.status = net::ReplyStatus::kRejectNoNode;
-  StageReply(pending.conn_id, reply);
-  FlushStagedReplies();
+  QueueReply(pending, reply);
 }
 
-std::vector<Router::StagedReplies>& Router::ThreadStagedReplies() {
-  // Each thread stages into its own buffers; every thread that writes to
-  // clients (readers, node receivers, retry, prober) serves one router.
-  thread_local std::vector<StagedReplies> staged;
-  return staged;
-}
-
-void Router::StageReply(std::uint64_t conn_id, const net::Reply& reply) {
-  std::vector<StagedReplies>& staged = ThreadStagedReplies();
-  auto it = std::find_if(
-      staged.begin(), staged.end(),
-      [conn_id](const StagedReplies& s) { return s.conn->id == conn_id; });
-  if (it == staged.end()) {
-    std::shared_ptr<ClientConn> conn;
-    {
-      std::lock_guard lock(conns_mu_);
-      auto found = conns_.find(conn_id);
-      if (found == conns_.end()) return;  // client left; reply dropped
-      conn = found->second;
-    }
-    staged.push_back({std::move(conn), {}});
-    it = staged.end() - 1;
-  }
-  EncodeReply(reply, it->bytes);
-}
-
-void Router::FlushStagedReplies() {
-  std::vector<StagedReplies>& staged = ThreadStagedReplies();
-  for (const StagedReplies& s : staged) {
-    std::lock_guard write_lock(s.conn->write_mu);
-    SendAll(s.conn->fd.Get(), s.bytes);
-  }
-  staged.clear();
+void Router::QueueReply(const PendingRoute& pending, const net::Reply& reply) {
+  auto it = clients_.find(pending.conn_fd);
+  if (it == clients_.end() || it->second->id != pending.conn_id) return;
+  net::EncodeReply(reply, it->second->out);
+  TouchClient(pending.conn_fd);
 }
 
 void Router::WriteStatusJson(std::ostream& os) const {
@@ -516,18 +504,15 @@ void Router::WriteStatusJson(std::ostream& os) const {
      << ",\"trace_sample_n\":" << config_.trace_sample_n
      << ",\"accepted\":" << stats.accepted << ",\"routed\":" << stats.routed
      << ",\"replies\":" << stats.replies << ",\"retries\":" << stats.retries
-     << ",\"no_node\":" << stats.no_node;
-  std::size_t inflight = 0;
-  {
-    std::lock_guard lock(pending_mu_);
-    inflight = pending_.size();
-  }
-  os << ",\"inflight\":" << inflight;
+     << ",\"no_node\":" << stats.no_node
+     << ",\"inflight\":" << inflight_.load(std::memory_order_relaxed);
   os << ",\"nodes\":[";
   const std::vector<NodeStatus> nodes = pool_->Status();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const NodeStatus& n = nodes[i];
     if (i > 0) os << ",";
+    // down_reason is router-built text (errno strings, decoder errors,
+    // probe counts) and never carries a quote or a backslash.
     os << "{\"id\":" << n.node << ",\"name\":\"" << n.endpoint.name << "\""
        << ",\"port\":" << n.endpoint.port
        << ",\"admin_port\":" << n.endpoint.admin_port << ",\"state\":\""
@@ -535,7 +520,8 @@ void Router::WriteStatusJson(std::ostream& os) const {
        << ",\"inflight\":" << n.inflight
        << ",\"est_queue_delay_ns\":" << n.est_queue_delay_ns
        << ",\"live_workers\":" << n.live_workers
-       << ",\"probe_failures\":" << n.probe_failures << "}";
+       << ",\"probe_failures\":" << n.probe_failures << ",\"down_reason\":\""
+       << n.down_reason << "\"}";
   }
   os << "]}";
 }

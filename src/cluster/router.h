@@ -13,37 +13,40 @@
 // and re-routed to a surviving node.  A request only leaves the pending
 // table through exactly one of: backend reply relayed, re-route budget
 // exhausted (explicit kRejectNoNode), or router shutdown — the zero-loss
-// contract the node-kill tests pin down.
+// contract the node-kill tests pin down.  The loop checks it after every
+// pass: accepted == replies + no_node + pending.
 //
-// Batching: every write carries all that its thread has already decoded.
-// A reader routes every submit of one recv into a per-node outbox and then
-// writes each node's share with one send; a node receiver relays every reply
-// one read returned into per-client buffers and then writes each client's
-// share with one send.  Both flush before their thread blocks again, so a
-// lone request never waits on a batch.
-//
-// Threads: one acceptor, one blocking reader per client connection, one
-// receiver per node (inside NodePool), the pool's prober, and one retry
-// timer.  Client writes are serialized per connection with a write mutex
-// because replies for one client surface on many node-receiver threads.
+// Threads: one event-loop thread (net::Poller, the same connection layer as
+// the node's net::Server) owns the listen socket, every client and node
+// socket, the pending table, the routing policy, the node views and the
+// retry heap, whose earliest due time bounds the poll timeout.  Each pass
+// reads once per ready socket, routes or relays what it decoded into
+// per-peer out buffers, and ends with one send per touched peer, so a lone
+// request never waits on a batch.  Three things stay off the loop because
+// they block: the pool's prober (HTTP probes), the admin plane, and the
+// connect of JoinNode.  They reach the loop through one mailbox drained on
+// wake.  GetStats, Pool().Status() and WriteStatusJson read counters the
+// loop publishes and are safe from any thread.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/node_pool.h"
 #include "cluster/policy.h"
 #include "common/rng.h"
 #include "fault/retry.h"
+#include "net/conn.h"
+#include "net/poller.h"
 #include "net/protocol.h"
-#include "net/socket.h"
 
 namespace arlo::telemetry {
 class TelemetrySink;
@@ -80,14 +83,15 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   /// Binds the listen socket, joins the configured nodes, and spawns the
-  /// acceptor/prober/retry threads.  Throws when the policy name is unknown
-  /// or the listen socket cannot bind.
+  /// loop and prober threads.  Throws when the policy name is unknown or
+  /// the listen socket cannot bind.
   void Start();
   void Stop();
 
   std::uint16_t Port() const;
 
-  /// Live lifecycle operations (also exposed on the admin plane).
+  /// Live lifecycle operations (also exposed on the admin plane).  Both
+  /// block until the loop has applied them; call them off the loop.
   int JoinNode(const NodeEndpoint& endpoint);
   bool DrainNode(int node);
 
@@ -111,17 +115,11 @@ class Router {
   const char* PolicyName() const;
 
  private:
-  struct ClientConn {
-    std::uint64_t id = 0;
-    net::ScopedFd fd;
-    std::mutex write_mu;
-    std::thread reader;
-  };
-
   /// A routed-but-unresolved request.  `node` is the node it is currently
-  /// in flight on, or -1 while parked in the retry queue.
+  /// in flight on, or -1 while parked in the retry heap.
   struct PendingRoute {
-    std::uint64_t conn_id = 0;
+    int conn_fd = -1;                     ///< client connection, by fd...
+    std::uint64_t conn_id = 0;            ///< ...and id (fds get reused)
     std::uint64_t client_id = 0;          ///< client's wire id, restored
     std::uint64_t client_request_id = 0;  ///< client's request_id, restored
     net::SubmitRequest forward;           ///< request_id = router-assigned
@@ -132,7 +130,7 @@ class Router {
     // untraced path never reads the clock beyond first_sent_ns.
     bool traced = false;
     std::int64_t pick_ns = 0;       ///< total routing-policy selection time
-    std::int64_t park_ns = 0;       ///< total time parked in the retry queue
+    std::int64_t park_ns = 0;       ///< total time parked in the retry heap
     std::int64_t parked_at_ns = 0;  ///< park start; 0 = not currently parked
     std::int64_t last_sent_ns = 0;  ///< most recent pick (frame batched)
   };
@@ -142,97 +140,87 @@ class Router {
     std::uint64_t request_id = 0;
   };
 
-  /// Routed submits not yet written: encoded frames per node, flushed with
-  /// one SendFrames call each.  Owned by one thread; kept across flushes so
-  /// its buffers are reused.
-  struct Outbox {
-    struct Batch {
-      int node = -1;
-      std::vector<std::uint8_t> bytes;
-      std::vector<std::uint64_t> request_ids;
-    };
-    std::vector<Batch> batches;  ///< one per node ever touched; few
-
-    void Add(int node, std::uint64_t request_id,
-             const net::SubmitRequest& forward);
+  /// A node with frames queued this pass, and how many of them are new.
+  struct DirtyNode {
+    int node = -1;
+    int frames = 0;
   };
 
-  /// Replies a thread has encoded but not yet written, per client.
-  struct StagedReplies {
-    std::shared_ptr<ClientConn> conn;
-    std::vector<std::uint8_t> bytes;
-  };
+  enum class LoopState { kIdle, kRunning, kStopped };
 
-  void AcceptLoop();
-  void ReaderLoop(std::shared_ptr<ClientConn> conn);
-  void HandleSubmit(const std::shared_ptr<ClientConn>& conn,
-                    const net::SubmitRequest& submit, Outbox& outbox);
+  void Loop();
+  /// Milliseconds until the earliest retry is due; -1 with none parked.
+  int PollTimeoutMs() const;
+  void AcceptClients();
+  void OnClientEvent(net::Conn& conn, const net::PollEvent& event);
+  /// One read of a client; false when it closed the connection.
+  bool ReadClient(net::Conn& conn);
+  void CloseClient(int fd);
+  void OnNodeEvent(int node, const net::PollEvent& event);
+  /// One read of a node; false when the node is gone (down or drained).
+  bool ReadNode(int node);
+  /// Marks a peer for this pass's flush; `frames` new frames for a node.
+  void TouchNode(int node, int frames);
+  void TouchClient(int fd);
+  void HandleSubmit(const net::Conn& client, const net::SubmitRequest& submit);
+  /// Picks a node for the parked `pending` (node == -1), reserves it, and
+  /// queues the frame on its connection.  A request no node takes is shed.
+  void Route(std::uint64_t request_id, PendingRoute& pending);
+  void RouteDueRetries();
   void OnNodeReply(int node, const net::Reply& reply);
-  void OnNodeDown(int node);
-  void RetryLoop();
-  /// Picks a node for `request_id` (parked, node == -1), reserves it, and
-  /// adds the frame to `outbox`.  A request no node takes is shed.
-  void Route(std::uint64_t request_id, const net::SubmitRequest& forward,
-             bool traced, Outbox& outbox);
-  /// Route for a parked request whose frame is read from the pending table.
-  void RouteParked(std::uint64_t request_id, Outbox& outbox);
-  /// Writes each node's batch with one send; re-routes the requests of a
-  /// failed batch until the outbox is empty.
-  void Flush(Outbox& outbox);
-  /// A reserve or send on `node` failed for `request_id`.  Detaches it from
-  /// `node` unless another path (OnNodeDown, a reply) already owns it.
-  /// Returns true when the caller should re-route it; false when it is
-  /// owned elsewhere or was shed because its re-route budget is spent.
-  bool DetachFailedSend(std::uint64_t request_id, int node);
-  /// Removes `request_id` if it is still parked and replies kRejectNoNode.
-  void ShedParked(std::uint64_t request_id);
-  int PickNode(std::uint32_t length);
-  /// Appends a reply to the calling thread's per-client buffers; dropped
-  /// when the client already left.
-  void StageReply(std::uint64_t conn_id, const net::Reply& reply);
-  /// Writes every buffer StageReply filled on this thread, one send per
-  /// client: the pool's on_flush, and right after each shed.
-  void FlushStagedReplies();
-  static std::vector<StagedReplies>& ThreadStagedReplies();
-  void ShedNoNode(const PendingRoute& pending);
-  /// Parks `request_id` in the retry queue with jittered backoff, or sheds
-  /// immediately when the re-route budget is exhausted.  Caller must have
-  /// already detached the entry from its node (node == -1) under
-  /// pending_mu_.
+  /// Evicts `node` and parks every request in flight on it for re-routing.
+  void NodeDown(int node, std::string reason);
+  /// Parks `request_id` in the retry heap with jittered backoff, or sheds
+  /// it when its re-route budget is spent.
   void ParkForRetry(std::uint64_t request_id, int attempts);
+  /// Removes `request_id` from the pending table and replies kRejectNoNode.
+  void Shed(std::uint64_t request_id);
+  /// Queues `reply` for the client of `pending`; dropped when it left.
+  void QueueReply(const PendingRoute& pending, const net::Reply& reply);
+  /// One send per peer touched this pass: nodes first (a failed node write
+  /// can shed), then clients.
+  void FlushPeers();
+  /// Queues `fn` for the loop and wakes it; false once Stop began (or
+  /// before Start).
+  bool Post(std::function<void()> fn);
+  /// Runs everything posted so far; false once Stop closed the mailbox.
+  bool RunMailbox();
+  /// Runs `fn` on the loop and returns its result: inline before Start
+  /// spawns the loop, `stopped` once Stop began.
+  int OnLoop(const std::function<int()>& fn, int stopped);
 
   RouterConfig config_;
-  std::unique_ptr<RoutingPolicy> policy_;  // guarded by policy_mu_
-  std::mutex policy_mu_;
+  std::unique_ptr<RoutingPolicy> policy_;
+  net::Poller poller_;
+  net::WakePipe wake_;
   std::unique_ptr<NodePool> pool_;
-
   net::ScopedFd listen_;
-  std::thread acceptor_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
 
-  mutable std::mutex conns_mu_;
-  std::map<std::uint64_t, std::shared_ptr<ClientConn>> conns_;
-  /// Readers whose clients disconnected park themselves here (the thread
-  /// cannot join itself); the acceptor and Stop reap them.
-  std::vector<std::shared_ptr<ClientConn>> zombies_;  // guarded by conns_mu_
+  // --- loop-owned state (no locks) ---------------------------------------
+  std::unordered_map<int, std::unique_ptr<net::Conn>> clients_;  // by fd
   std::uint64_t next_conn_id_ = 1;
+  std::uint64_t next_request_id_ = 1;
+  std::unordered_map<std::uint64_t, PendingRoute> pending_;
+  std::vector<RetryEntry> retry_heap_;  // min-heap on due_ns
+  Rng retry_rng_{1};
+  std::vector<DirtyNode> dirty_nodes_;
+  std::vector<int> dirty_clients_;  // fds
 
-  std::atomic<std::uint64_t> next_request_id_{1};
-  mutable std::mutex pending_mu_;
-  std::map<std::uint64_t, PendingRoute> pending_;
+  // --- the mailbox: how other threads reach the loop ---------------------
+  std::mutex mailbox_mu_;
+  std::vector<std::function<void()>> mailbox_;  // guarded by mailbox_mu_
+  LoopState loop_state_ = LoopState::kIdle;     // guarded by mailbox_mu_
 
-  std::mutex retry_mu_;
-  std::condition_variable retry_cv_;
-  std::vector<RetryEntry> retry_queue_;  // kept sorted by due_ns
-  std::thread retry_thread_;
-  Rng retry_rng_{1};  // guarded by retry_mu_
-
+  // --- published by the loop, read anywhere ------------------------------
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> routed_{0};
   std::atomic<std::uint64_t> replies_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> no_node_{0};
+  std::atomic<std::uint64_t> inflight_{0};  ///< pending-table size
+
+  std::thread loop_;  // last: it uses every member above
 };
 
 }  // namespace arlo::cluster

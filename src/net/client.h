@@ -25,8 +25,7 @@ namespace arlo::net {
 /// A blocking client connection.  Send and Receive may be called
 /// concurrently from one sender and one receiver thread (a TCP socket is
 /// full-duplex); neither is safe to share between multiple threads, and
-/// Connect/Close must not race either of them (quiesce first — the router's
-/// NodePool joins its receiver thread before reconnecting).
+/// Connect/Close must not race either of them (quiesce first).
 class ClientConnection {
  public:
   /// Disconnected; call Connect (or TryConnect) before Send/Receive.

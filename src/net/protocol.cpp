@@ -5,9 +5,6 @@
 namespace arlo::net {
 namespace {
 
-constexpr std::size_t kSubmitPayloadV2 = 32;  ///< legacy: no decode_len
-constexpr std::size_t kSubmitPayloadV3 = 36;  ///< legacy: no tenant_class
-constexpr std::size_t kSubmitPayloadV4 = 37;  ///< legacy: no flags
 constexpr std::size_t kSubmitPayload = 38;
 constexpr std::size_t kReplyPayload = 33;  ///< base; +1+9n with an annex
 constexpr std::size_t kAnnexSpanBytes = 9;  ///< u8 stage + u64 dur_ns
@@ -69,8 +66,8 @@ void EncodeSubmit(const SubmitRequest& msg, std::vector<std::uint8_t>& out) {
 }
 
 void EncodeReply(const Reply& msg, std::vector<std::uint8_t>& out) {
-  // The annex costs zero wire bytes when empty: an untraced v5 reply keeps
-  // the exact v4 payload size.  Oversized annexes (a misbehaving proxy
+  // The annex costs zero wire bytes when empty: an untraced reply keeps the
+  // 33-byte base payload.  Oversized annexes (a misbehaving proxy
   // chain) truncate to the cap rather than emitting an undecodable frame.
   const std::size_t spans = std::min(msg.annex.size(), kMaxAnnexSpans);
   const std::size_t payload =
@@ -122,8 +119,9 @@ FrameDecoder::Result FrameDecoder::Next(Frame& out) {
   if (avail < 4 + frame_len) return Result::kNeedMore;
   const std::uint8_t version = p[4];
   if (version < kMinProtocolVersion || version > kProtocolVersion) {
-    // A v1 frame puts its msg_type byte here (1 or 2); neither matches, so
-    // old-format peers die immediately instead of being misparsed.
+    // A v1 frame puts its msg_type byte here (1 or 2) and v2-v4 peers send
+    // their own version; none matches, so old-format peers die at their
+    // first frame instead of being misparsed.
     error_ = "unsupported protocol version " + std::to_string(version);
     return Result::kError;
   }
@@ -132,11 +130,7 @@ FrameDecoder::Result FrameDecoder::Next(Frame& out) {
   const std::size_t payload_len = frame_len - 2;
   switch (static_cast<MsgType>(type)) {
     case MsgType::kSubmit: {
-      const std::size_t want = version == 2   ? kSubmitPayloadV2
-                               : version == 3 ? kSubmitPayloadV3
-                               : version == 4 ? kSubmitPayloadV4
-                                              : kSubmitPayload;
-      if (payload_len != want) {
+      if (payload_len != kSubmitPayload) {
         error_ = "submit payload size " + std::to_string(payload_len);
         return Result::kError;
       }
@@ -145,20 +139,15 @@ FrameDecoder::Result FrameDecoder::Next(Frame& out) {
       out.submit.request_id = GetU64(payload + 8);
       out.submit.model = GetU32(payload + 16);
       out.submit.length = GetU32(payload + 20);
-      // v2 has no decode_len field: those clients are one-shot by definition.
-      out.submit.decode_len = version == 2 ? 0 : GetU32(payload + 24);
-      const std::size_t off = version == 2 ? 24 : 28;
-      out.submit.deadline_ns = static_cast<std::int64_t>(GetU64(payload + off));
-      // v2/v3 clients predate tenant classes: they land in the default class.
-      out.submit.tenant_class = version >= 4 ? payload[36] : 0;
-      // v2-v4 clients predate the trace flag: never traced.
-      out.submit.flags = version >= 5 ? payload[37] : 0;
+      out.submit.decode_len = GetU32(payload + 24);
+      out.submit.deadline_ns = static_cast<std::int64_t>(GetU64(payload + 28));
+      out.submit.tenant_class = payload[36];
+      out.submit.flags = payload[37];
       break;
     }
     case MsgType::kReply: {
-      // Base payload at every version; a v5 reply may append the timing
-      // annex.  A pre-v5 reply with extra bytes is a protocol error.
-      const bool annexed = version >= 5 && payload_len > kReplyPayload;
+      // The base payload, optionally followed by the timing annex.
+      const bool annexed = payload_len > kReplyPayload;
       if (!annexed && payload_len != kReplyPayload) {
         error_ = "reply payload size " + std::to_string(payload_len);
         return Result::kError;

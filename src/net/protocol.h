@@ -13,31 +13,23 @@
 // kMaxFrameBytes, or carries an unknown type is a protocol error and the
 // connection is dropped (the decoder is strict: garbage never resyncs).
 //
-// Version history:
+// Version history (only v5 is spoken; every older version is a protocol
+// error, so mixed-version peers die at their first frame instead of
+// limping along):
 //   v1  [u32 frame_len][u8 msg_type][payload] — no version byte, no
-//       request_id.  v1 frames fed to this decoder die with a sticky error
-//       (their type byte lands where the version byte now lives), which is
-//       the intended behavior: mixed-version peers must not limp along.
+//       request_id.  Its type byte lands where the version byte now lives.
 //   v2  adds the version byte and a u64 request_id to both messages so a
 //       router tier can correlate out-of-order replies across multiplexed
 //       backend connections without rewriting client-chosen ids.
-//   v3  adds u32 decode_len to SubmitRequest (payload 32 -> 36 bytes) for
-//       generative workloads.  The decoder still accepts v2 submits
-//       (decode_len = 0, i.e. one-shot) so old clients keep working;
-//       encoders always emit the newest version.  Reply is unchanged and
-//       accepted at any supported version.
-//   v4  adds u8 tenant_class to SubmitRequest (payload 36 -> 37 bytes) for
-//       multi-tenant SLO classes (docs/TENANTS.md).  v3 and v2 submits are
-//       still accepted and land in class 0 (the default class), so old
-//       clients keep working; the cluster router forwards the class intact.
-//       Adds ReplyStatus::kShedClass, the explicit per-class overload drop.
-//   v5  adds u8 flags to SubmitRequest (payload 37 -> 38 bytes; bit 0 =
-//       kSubmitFlagTrace, the head-based sampling decision) and an optional
-//       reply-side timing annex: per-stage wall-ns durations attributing the
-//       request's latency across the serving pipeline (docs/OBSERVABILITY.md).
-//       An untraced v5 reply stays at the 33-byte v4 payload — the annex
-//       costs zero bytes when tracing is off.  v2-v4 submits are still
-//       accepted (flags = 0, never traced).
+//   v3  adds u32 decode_len to SubmitRequest for generative workloads.
+//   v4  adds u8 tenant_class to SubmitRequest for multi-tenant SLO classes
+//       (docs/TENANTS.md) and ReplyStatus::kShedClass.
+//   v5  adds u8 flags to SubmitRequest (bit 0 = kSubmitFlagTrace, the
+//       head-based sampling decision) and an optional reply-side timing
+//       annex: per-stage wall-ns durations attributing the request's
+//       latency across the serving pipeline (docs/OBSERVABILITY.md).  An
+//       untraced reply stays at the 33-byte base payload — the annex costs
+//       zero bytes when tracing is off.
 //
 // SubmitRequest (client -> server, 38-byte payload):
 //   u64 id           client-chosen, echoed in the reply (unique per conn)
@@ -45,10 +37,10 @@
 //                    direct clients, router-assigned for proxied requests
 //   u32 model        model hint (single-model testbeds ignore it)
 //   u32 length       input token count — the scheduling-relevant field
-//   u32 decode_len   output tokens to generate; 0 = one-shot (v3+)
+//   u32 decode_len   output tokens to generate; 0 = one-shot
 //   i64 deadline_ns  relative latency budget; 0 = no deadline
-//   u8  tenant_class tenant SLO class id; 0 = default class (v4+)
-//   u8  flags        bit 0: trace this request (v5 only)
+//   u8  tenant_class tenant SLO class id; 0 = default class
+//   u8  flags        bit 0: trace this request
 //
 // Reply (server -> client, 33-byte payload, + timing annex when traced):
 //   u64 id          echo of the submit id
@@ -56,7 +48,7 @@
 //   u8  status      ReplyStatus below
 //   i64 queue_ns    simulated queueing delay (kOk only, else 0)
 //   i64 service_ns  simulated service time   (kOk only, else 0)
-//   -- annex, present iff the payload extends past 33 bytes (v5 only) --
+//   -- annex, present iff the payload extends past 33 bytes --
 //   u8  annex_count number of stage spans (1..kMaxAnnexSpans)
 //   annex_count x { u8 stage (telemetry::Stage), u64 dur_ns }
 #pragma once
@@ -72,9 +64,8 @@ namespace arlo::net {
 
 /// Wire format version stamped into every frame header.
 inline constexpr std::uint8_t kProtocolVersion = 5;
-/// Oldest version the decoder still accepts (v2 submits lack decode_len,
-/// v3 submits lack tenant_class, v4 submits lack flags).
-inline constexpr std::uint8_t kMinProtocolVersion = 2;
+/// Oldest version the decoder accepts: the current one.
+inline constexpr std::uint8_t kMinProtocolVersion = 5;
 
 /// SubmitRequest::flags bit 0: the sender sampled this request for tracing;
 /// the node should stamp a timing annex into the reply.
@@ -109,7 +100,7 @@ struct SubmitRequest {
   std::uint32_t decode_len = 0;  ///< output tokens; 0 = one-shot
   std::int64_t deadline_ns = 0;
   std::uint8_t tenant_class = 0;  ///< tenant SLO class; 0 = default
-  std::uint8_t flags = 0;         ///< kSubmitFlagTrace et al. (v5 only)
+  std::uint8_t flags = 0;         ///< kSubmitFlagTrace et al.
 
   bool operator==(const SubmitRequest&) const = default;
 };
@@ -135,14 +126,12 @@ struct Reply {
 };
 
 /// Hard cap on frame_len; anything larger is garbage by definition (real
-/// frames are 40 and 35 bytes — 39/38/34 for legacy v4/v3/v2 submits — and
-/// a fully annexed reply tops out at 35 + 1 + 9 * kMaxAnnexSpans = 180).
+/// frames are 40 and 35 bytes, and a fully annexed reply tops out at
+/// 35 + 1 + 9 * kMaxAnnexSpans = 180).
 inline constexpr std::size_t kMaxFrameBytes = 256;
 
-/// Serialized frame sizes including the 4-byte length prefix (as encoded,
-/// i.e. v5; the decoder also accepts 39-byte v4, 38-byte v3, and 34-byte v2
-/// submits).  A traced reply adds 1 + 9 * annex_count bytes to
-/// kReplyFrameBytes.
+/// Serialized frame sizes including the 4-byte length prefix.  A traced
+/// reply adds 1 + 9 * annex_count bytes to kReplyFrameBytes.
 inline constexpr std::size_t kSubmitFrameBytes = 4 + 2 + 38;
 inline constexpr std::size_t kReplyFrameBytes = 4 + 2 + 33;
 

@@ -1,8 +1,5 @@
 #include "net/server.h"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -16,6 +13,7 @@
 
 #include "common/bounded_queue.h"
 #include "common/check.h"
+#include "net/conn.h"
 #include "net/poller.h"
 #include "net/protocol.h"
 #include "net/socket.h"
@@ -45,7 +43,7 @@ struct Server::Impl {
 
   ScopedFd listen_fd_;
   std::uint16_t port_ = 0;
-  ScopedFd wake_r_, wake_w_;
+  WakePipe wake_;
 
   std::thread loop_thread_;
   std::thread pump_thread_;
@@ -54,14 +52,6 @@ struct Server::Impl {
   bool stopped_ = false;
 
   // --- event-loop-owned state (no locks) --------------------------------
-  struct Conn {
-    ScopedFd fd;
-    std::uint64_t id = 0;
-    FrameDecoder decoder;
-    std::vector<std::uint8_t> out;
-    std::size_t out_off = 0;
-    bool want_write = false;
-  };
   std::map<int, std::unique_ptr<Conn>> conns_;
 
   struct Pending {
@@ -99,7 +89,6 @@ struct Server::Impl {
   void Stop();
   void EventLoop();
   void PumpLoop();
-  void Wake();
   void AcceptNew();
   void OnReadable(Conn& conn);
   bool FlushConn(Conn& conn);  ///< false: connection died and was closed
@@ -128,17 +117,8 @@ void Server::Impl::Start() {
   SetNonBlocking(listen_fd_.Get());
   port_ = LocalPort(listen_fd_.Get());
 
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) < 0) {
-    throw std::system_error(errno, std::generic_category(), "pipe");
-  }
-  wake_r_ = ScopedFd(pipe_fds[0]);
-  wake_w_ = ScopedFd(pipe_fds[1]);
-  SetNonBlocking(wake_r_.Get());
-  SetNonBlocking(wake_w_.Get());
-
   poller_.Add(listen_fd_.Get(), /*want_read=*/true, /*want_write=*/false);
-  poller_.Add(wake_r_.Get(), /*want_read=*/true, /*want_write=*/false);
+  poller_.Add(wake_.ReadFd(), /*want_read=*/true, /*want_write=*/false);
 
   pump_thread_ = std::thread([this] { PumpLoop(); });
   loop_thread_ = std::thread([this] { EventLoop(); });
@@ -150,14 +130,8 @@ void Server::Impl::Stop() {
   stopping_.store(true, std::memory_order_relaxed);
   submit_queue_.Close();
   pump_thread_.join();
-  Wake();
+  wake_.Wake();
   loop_thread_.join();
-}
-
-void Server::Impl::Wake() {
-  const char byte = 'w';
-  // EAGAIN (pipe full) is fine: a wake-up is already pending.
-  (void)::write(wake_w_.Get(), &byte, 1);
 }
 
 void Server::Impl::PumpLoop() {
@@ -172,7 +146,7 @@ void Server::Impl::PumpLoop() {
         std::lock_guard lock(completions_mu_);
         completions_.push_back({id, record, WallClock::now()});
       }
-      Wake();
+      wake_.Wake();
     });
   }
 }
@@ -184,10 +158,8 @@ void Server::Impl::EventLoop() {
   while (!stopping_.load(std::memory_order_relaxed) || !pending_.empty()) {
     poller_.Wait(/*timeout_ms=*/50, events);
     for (const PollEvent& ev : events) {
-      if (ev.fd == wake_r_.Get()) {
-        char buf[256];
-        while (::read(wake_r_.Get(), buf, sizeof(buf)) > 0) {
-        }
+      if (ev.fd == wake_.ReadFd()) {
+        wake_.Drain();
         continue;
       }
       if (ev.fd == listen_fd_.Get()) {
@@ -218,16 +190,11 @@ void Server::Impl::EventLoop() {
 
 void Server::Impl::AcceptNew() {
   for (;;) {
-    const int fd = ::accept(listen_fd_.Get(), nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      return;  // transient accept failure; the listener stays up
-    }
-    SetNonBlocking(fd);
-    SetNoDelay(fd);
+    ScopedFd accepted = AcceptConn(listen_fd_.Get());
+    if (!accepted.Valid()) return;
+    const int fd = accepted.Get();
     auto conn = std::make_unique<Conn>();
-    conn->fd = ScopedFd(fd);
+    conn->fd = std::move(accepted);
     conn->id = next_conn_id_++;
     conns_.emplace(fd, std::move(conn));
     poller_.Add(fd, /*want_read=*/true, /*want_write=*/false);
@@ -241,9 +208,8 @@ void Server::Impl::AcceptNew() {
 
 void Server::Impl::OnReadable(Conn& conn) {
   const int fd = conn.fd.Get();
-  std::uint8_t buf[65536];
   for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    const ssize_t n = RecvInto(conn);
     if (n > 0) {
       WithStats([&](ServerStats& s) {
         s.bytes_in += static_cast<std::uint64_t>(n);
@@ -251,7 +217,6 @@ void Server::Impl::OnReadable(Conn& conn) {
       if (config_.telemetry) {
         config_.telemetry->RecordNetBytes(static_cast<std::uint64_t>(n), 0);
       }
-      conn.decoder.Feed(buf, static_cast<std::size_t>(n));
       Frame frame;
       for (;;) {
         const FrameDecoder::Result r = conn.decoder.Next(frame);
@@ -266,13 +231,8 @@ void Server::Impl::OnReadable(Conn& conn) {
       }
       continue;
     }
-    if (n == 0) {  // peer closed
-      CloseConn(fd);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    CloseConn(fd);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    CloseConn(fd);  // peer closed, or the read failed
     return;
   }
   if (!FlushConn(conn)) return;
@@ -290,8 +250,8 @@ void Server::Impl::HandleSubmit(Conn& conn, const SubmitRequest& submit) {
   request.arrival = now;
   request.length = static_cast<int>(submit.length);
   request.decode_len = static_cast<int>(submit.decode_len);
-  // Unknown class ids (a v4 client naming a class this server does not
-  // define) clamp to the default class 0.
+  // Unknown class ids (a client naming a class this server does not define)
+  // clamp to the default class 0.
   const tenant::TenantClassTable* tenants = config_.admission.tenants;
   request.tenant_class =
       tenants != nullptr
@@ -394,36 +354,18 @@ void Server::Impl::SendReject(Conn& conn, const SubmitRequest& submit,
 }
 
 bool Server::Impl::FlushConn(Conn& conn) {
-  const int fd = conn.fd.Get();
-  while (conn.out_off < conn.out.size()) {
-    const ssize_t n = ::send(fd, conn.out.data() + conn.out_off,
-                             conn.out.size() - conn.out_off, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.out_off += static_cast<std::size_t>(n);
-      WithStats([&](ServerStats& s) {
-        s.bytes_out += static_cast<std::uint64_t>(n);
-      });
-      if (config_.telemetry) {
-        config_.telemetry->RecordNetBytes(0, static_cast<std::uint64_t>(n));
-      }
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (!conn.want_write) {
-        conn.want_write = true;
-        poller_.Modify(fd, /*want_read=*/true, /*want_write=*/true);
-      }
-      return true;
-    }
-    if (errno == EINTR) continue;
-    CloseConn(fd);
+  const ssize_t n = net::FlushConn(poller_, conn);
+  if (n < 0) {
+    CloseConn(conn.fd.Get());
     return false;
   }
-  conn.out.clear();
-  conn.out_off = 0;
-  if (conn.want_write) {
-    conn.want_write = false;
-    poller_.Modify(fd, /*want_read=*/true, /*want_write=*/false);
+  if (n > 0) {
+    WithStats([&](ServerStats& s) {
+      s.bytes_out += static_cast<std::uint64_t>(n);
+    });
+    if (config_.telemetry) {
+      config_.telemetry->RecordNetBytes(0, static_cast<std::uint64_t>(n));
+    }
   }
   return true;
 }

@@ -3,14 +3,17 @@
 // failure choreography (a kill has to happen with requests provably held in
 // flight on the victim, which a real backend cannot stage).  These run
 // under TSan in check.sh, so they double as the race proof for the
-// router/pool thread structure.
+// router's loop / prober / admin-caller thread structure.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -29,13 +32,14 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// A scriptable wire-protocol backend: echoes kOk replies (kEcho) or holds
-/// every submit unanswered (kHold) so a test can kill it with requests
-/// provably in flight.  Accepts any number of connections (the pool
-/// reconnects on rejoin).
+/// A scriptable wire-protocol backend: echoes kOk replies (kEcho), holds
+/// every submit unanswered until Release() (kHold) so a test can kill or
+/// drain it with requests provably in flight, or never reads its sockets at
+/// all (kStall) so the router's writes back up.  Accepts any number of
+/// connections (the pool reconnects on rejoin).
 class FakeBackend {
  public:
-  enum class Mode { kEcho, kHold };
+  enum class Mode { kEcho, kHold, kStall };
 
   explicit FakeBackend(Mode mode) : mode_(mode), listen_(net::ListenTcp(0)) {
     acceptor_ = std::thread([this] { AcceptLoop(); });
@@ -53,6 +57,14 @@ class FakeBackend {
     return submits_;
   }
 
+  /// kHold: answers every held submit and echoes from now on.
+  void Release() {
+    std::lock_guard lock(mu_);
+    releasing_ = true;
+    for (const auto& [fd, submit] : held_) Answer(fd, submit);
+    held_.clear();
+  }
+
   /// Abrupt death: every socket closes mid-conversation.
   void Kill() {
     if (killed_.exchange(true)) return;
@@ -68,6 +80,9 @@ class FakeBackend {
       handlers.swap(handlers_);
     }
     for (std::thread& handler : handlers) handler.join();
+    std::lock_guard lock(mu_);
+    for (int fd : conn_fds_) ::close(fd);
+    conn_fds_.clear();
   }
 
  private:
@@ -86,38 +101,45 @@ class FakeBackend {
   }
 
   void Handle(int fd) {
+    if (mode_ == Mode::kStall) return;  // Kill closes the unread socket
     net::FrameDecoder decoder;
     std::uint8_t buf[1024];
     for (;;) {
       const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) break;
+      if (n <= 0) return;
       decoder.Feed(buf, static_cast<std::size_t>(n));
       net::Frame frame;
       while (decoder.Next(frame) == net::FrameDecoder::Result::kFrame) {
-        if (frame.type == net::MsgType::kSubmit) {
-          std::lock_guard lock(mu_);
-          submits_.push_back(frame.submit);
-        }
+        std::lock_guard lock(mu_);
+        submits_.push_back(frame.submit);
         received_.fetch_add(1, std::memory_order_acq_rel);
-        if (mode_ == Mode::kHold) continue;
-        net::Reply reply;
-        reply.id = frame.submit.id;
-        reply.request_id = frame.submit.request_id;
-        reply.status = net::ReplyStatus::kOk;
-        reply.queue_ns = 1000;
-        reply.service_ns = 1000;
-        std::vector<std::uint8_t> bytes;
-        EncodeReply(reply, bytes);
-        std::size_t off = 0;
-        while (off < bytes.size()) {
-          const ssize_t sent = ::send(fd, bytes.data() + off,
-                                      bytes.size() - off, MSG_NOSIGNAL);
-          if (sent <= 0) return;
-          off += static_cast<std::size_t>(sent);
+        if (mode_ == Mode::kHold && !releasing_) {
+          held_.emplace_back(fd, frame.submit);
+        } else {
+          Answer(fd, frame.submit);
         }
       }
     }
-    ::close(fd);
+  }
+
+  /// Writes one kOk reply; the caller holds mu_ (Release writes from the
+  /// test thread while the handler reads the same socket).
+  static void Answer(int fd, const net::SubmitRequest& submit) {
+    net::Reply reply;
+    reply.id = submit.id;
+    reply.request_id = submit.request_id;
+    reply.status = net::ReplyStatus::kOk;
+    reply.queue_ns = 1000;
+    reply.service_ns = 1000;
+    std::vector<std::uint8_t> bytes;
+    EncodeReply(reply, bytes);
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t sent = ::send(fd, bytes.data() + off, bytes.size() - off,
+                                  MSG_NOSIGNAL);
+      if (sent <= 0) return;
+      off += static_cast<std::size_t>(sent);
+    }
   }
 
   Mode mode_;
@@ -129,6 +151,8 @@ class FakeBackend {
   std::vector<int> conn_fds_;        // guarded by mu_
   std::vector<std::thread> handlers_;  // guarded by mu_
   std::vector<net::SubmitRequest> submits_;  // guarded by mu_
+  std::vector<std::pair<int, net::SubmitRequest>> held_;  // guarded by mu_
+  bool releasing_ = false;                                // guarded by mu_
 };
 
 /// A port with nothing listening on it.
@@ -292,6 +316,8 @@ TEST(ClusterRouter, NodeKillWithInflightRequestsLosesNothing) {
 
   const std::vector<NodeStatus> status = router.Pool().Status();
   EXPECT_EQ(status[0].state, NodeState::kEvicted);
+  EXPECT_NE(status[0].down_reason, "");  // EOF or a reset, kept on the slot
+  EXPECT_EQ(status[1].down_reason, "");
 
   router.Stop();
 }
@@ -353,87 +379,264 @@ TEST(ClusterRouter, BatchedSubmitsSurviveNodeDeathExactlyOnce) {
   router.Stop();
 }
 
-// A drain that lands between Reserve and SendFrames: the node still takes
-// the reserved frames (the reservations hold its connection open), answers
-// them, and only then reports kDrained — nothing lost, nothing evicted.
-TEST(ClusterRouter, DrainBetweenReserveAndSendFramesLosesNothing) {
-  FakeBackend backend(FakeBackend::Mode::kEcho);
-
-  telemetry::TelemetrySink sink;
-  NodePoolConfig config;
-  config.sink = &sink;
-  NodePool* pool_ptr = nullptr;
-  std::atomic<int> replies{0};
-  NodePoolCallbacks callbacks;
-  callbacks.on_reply = [&](int node, const net::Reply&) {
-    // Counted before NoteDone: the last NoteDone is what reports kDrained.
-    replies.fetch_add(1, std::memory_order_acq_rel);
-    pool_ptr->NoteDone(node);
-  };
-  NodePool pool(config, std::move(callbacks));
-  pool_ptr = &pool;
-  const int node = pool.Join({"a", backend.Port(), 0});
-  ASSERT_EQ(node, 0);
-
-  constexpr int kFrames = 8;
-  std::vector<std::uint8_t> bytes;
-  for (int i = 0; i < kFrames; ++i) {
-    ASSERT_TRUE(pool.Reserve(node));
-    net::SubmitRequest submit;
-    submit.id = static_cast<std::uint64_t>(i);
-    submit.request_id = static_cast<std::uint64_t>(i + 1);
-    submit.length = 64;
-    net::EncodeSubmit(submit, bytes);
-  }
-  ASSERT_TRUE(pool.Drain(node));
-  EXPECT_EQ(pool.Status()[0].state, NodeState::kDraining);
-  EXPECT_EQ(pool.Status()[0].inflight, kFrames);
-  EXPECT_FALSE(pool.Reserve(node));  // no new routes once draining
-
-  ASSERT_TRUE(pool.SendFrames(node, bytes, kFrames));
-  ASSERT_TRUE(WaitFor([&] {
-    return pool.Status()[0].state == NodeState::kDrained;
-  }));
-  EXPECT_EQ(replies.load(), kFrames);
-  EXPECT_EQ(backend.Received(), kFrames);
-  const NodeStatus status = pool.Status()[0];
-  EXPECT_EQ(status.inflight, 0);
-  EXPECT_EQ(status.routed, kFrames);
-  EXPECT_EQ(sink.Cluster().evictions->Value(), 0u);
-
-  pool.Stop();
-}
-
-// A batch written to a node that already went down is refused without a
-// second down report, and its reservations are released.
-TEST(ClusterRouter, SendFramesToDownNodeReleasesReservations) {
+// A drain with requests in flight: the node takes no new routes, still
+// answers everything routed to it before the drain, and only then reports
+// kDrained — nothing lost, nothing re-routed, nothing evicted.
+TEST(ClusterRouter, DrainingNodeAnswersWhatWasRoutedBeforeDrained) {
   FakeBackend backend(FakeBackend::Mode::kHold);
 
-  std::atomic<int> downs{0};
-  NodePoolCallbacks callbacks;
-  callbacks.on_down = [&](int) { downs.fetch_add(1); };
-  NodePool pool(NodePoolConfig{}, std::move(callbacks));
-  const int node = pool.Join({"a", backend.Port(), 0});
-  ASSERT_EQ(node, 0);
+  telemetry::TelemetrySink sink;
+  RouterConfig rc;
+  rc.nodes = {{"a", backend.Port(), 0}};
+  rc.sink = &sink;
+  Router router(rc);
+  router.Start();
 
-  std::vector<std::uint8_t> bytes;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(pool.Reserve(node));
+  constexpr int kHeld = 8;
+  net::ClientConnection client(router.Port());
+  for (int i = 0; i < kHeld; ++i) {
     net::SubmitRequest submit;
     submit.id = static_cast<std::uint64_t>(i);
+    submit.request_id = static_cast<std::uint64_t>(100 + i);
+    submit.length = 64;
+    client.Send(submit);
+  }
+  ASSERT_TRUE(WaitFor([&] { return backend.Received() == kHeld; }));
+
+  ASSERT_TRUE(router.DrainNode(0));
+  EXPECT_EQ(router.Pool().Status()[0].state, NodeState::kDraining);
+  EXPECT_EQ(router.Pool().Status()[0].inflight, kHeld);
+  EXPECT_FALSE(router.Healthy());  // no new routes once draining
+
+  net::SubmitRequest late;
+  late.id = kHeld;
+  late.length = 64;
+  client.Send(late);
+  net::Reply reply;
+  ASSERT_TRUE(client.Receive(reply));
+  EXPECT_EQ(reply.status, net::ReplyStatus::kRejectNoNode);
+  EXPECT_EQ(reply.id, static_cast<std::uint64_t>(kHeld));
+
+  backend.Release();
+  std::vector<int> answered(kHeld, 0);
+  for (int i = 0; i < kHeld; ++i) {
+    ASSERT_TRUE(client.Receive(reply)) << "lost after " << i << " replies";
+    EXPECT_EQ(reply.status, net::ReplyStatus::kOk);
+    ASSERT_LT(reply.id, static_cast<std::uint64_t>(kHeld));
+    EXPECT_EQ(reply.request_id, 100 + reply.id);
+    ++answered[reply.id];
+  }
+  for (int i = 0; i < kHeld; ++i) EXPECT_EQ(answered[i], 1) << "id " << i;
+  ASSERT_TRUE(WaitFor([&] {
+    return router.Pool().Status()[0].state == NodeState::kDrained;
+  }));
+
+  const NodeStatus status = router.Pool().Status()[0];
+  EXPECT_EQ(status.inflight, 0);
+  EXPECT_EQ(status.routed, kHeld);
+  EXPECT_EQ(status.down_reason, "");
+  EXPECT_EQ(backend.Received(), kHeld);
+  const Router::Stats stats = router.GetStats();
+  EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kHeld + 1));
+  EXPECT_EQ(stats.replies, static_cast<std::uint64_t>(kHeld));
+  EXPECT_EQ(stats.no_node, 1u);
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(sink.Cluster().evictions->Value(), 0u);
+
+  router.Stop();
+}
+
+// A node that stops reading fills its socket, so the router's frames for
+// it back up in that node's out buffer (the want_write resume) on top of
+// those the kernel already holds.  When the node dies, every request routed
+// to it — written or still queued — is re-routed to the survivor and
+// answered exactly once; the dead node is reported down once and left with
+// nothing in flight.
+TEST(ClusterRouter, FramesBoundForADeadNodeAreReRoutedExactlyOnce) {
+  FakeBackend victim(FakeBackend::Mode::kStall);
+  FakeBackend survivor(FakeBackend::Mode::kEcho);
+
+  telemetry::TelemetrySink sink;
+  RouterConfig rc;
+  rc.policy = "rr";  // deterministic: every other submit lands on the victim
+  rc.nodes = {{"victim", victim.Port(), 0}, {"survivor", survivor.Port(), 0}};
+  rc.sink = &sink;
+  Router router(rc);
+  router.Start();
+
+  constexpr int kRequests = 8000;  // ~176 KB for the victim: past its window
+  std::vector<std::uint8_t> bytes;
+  for (int i = 0; i < kRequests; ++i) {
+    net::SubmitRequest submit;
+    submit.id = static_cast<std::uint64_t>(i);
+    submit.request_id = static_cast<std::uint64_t>(1000 + i);
+    submit.length = 128;
     net::EncodeSubmit(submit, bytes);
   }
-  backend.Kill();
+  net::ClientConnection client(router.Port());
+  client.SendEncoded(bytes);
   ASSERT_TRUE(WaitFor([&] {
-    return pool.Status()[0].state == NodeState::kEvicted;
+    return router.GetStats().accepted == static_cast<std::uint64_t>(kRequests);
   }));
-  EXPECT_FALSE(pool.SendFrames(node, bytes, 3));
-  EXPECT_FALSE(pool.Send(node, net::SubmitRequest{}));  // not routable
-  EXPECT_EQ(pool.Status()[0].inflight, 0);
-  EXPECT_EQ(pool.Status()[0].routed, 0);
-  EXPECT_EQ(downs.load(), 1);
+  victim.Kill();
 
-  pool.Stop();
+  std::vector<int> answered(kRequests, 0);
+  for (int i = 0; i < kRequests; ++i) {
+    net::Reply reply;
+    ASSERT_TRUE(client.Receive(reply)) << "lost after " << i << " replies";
+    EXPECT_EQ(reply.status, net::ReplyStatus::kOk);
+    ASSERT_LT(reply.id, static_cast<std::uint64_t>(kRequests));
+    EXPECT_EQ(reply.request_id, 1000 + reply.id);
+    ++answered[reply.id];
+  }
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_EQ(answered[i], 1) << "id " << i;
+  }
+
+  const Router::Stats stats = router.GetStats();
+  EXPECT_EQ(stats.replies, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(stats.no_node, 0u);
+  EXPECT_EQ(stats.retries, static_cast<std::uint64_t>(kRequests / 2));
+  EXPECT_EQ(survivor.Received(), kRequests);
+  EXPECT_EQ(sink.Cluster().evictions->Value(), 1u);
+  const std::vector<NodeStatus> status = router.Pool().Status();
+  EXPECT_EQ(status[0].state, NodeState::kEvicted);
+  EXPECT_EQ(status[0].inflight, 0);
+  EXPECT_NE(status[0].down_reason, "");
+  EXPECT_EQ(status[1].inflight, 0);
+
+  router.Stop();
+}
+
+// Replies to a client that reads slowly: thousands of them meet a small
+// receive window, so the router's writes to that client go partial and
+// resume on writability.  Every id still arrives exactly once, and the
+// byte stream stays frame-aligned.
+TEST(ClusterRouter, RepliesToASlowClientSurvivePartialWrites) {
+  FakeBackend backend(FakeBackend::Mode::kEcho);
+
+  RouterConfig rc;
+  rc.nodes = {{"a", backend.Port(), 0}};
+  Router router(rc);
+  router.Start();
+
+  net::ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(fd.Valid());
+  // Both set before connect: a small window, and a small MSS so the
+  // router's send buffer for this client starts small too.
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(fd.Get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof(rcvbuf)),
+            0);
+  const int mss = 536;
+  ASSERT_EQ(::setsockopt(fd.Get(), IPPROTO_TCP, TCP_MAXSEG, &mss, sizeof(mss)),
+            0);
+  const timeval timeout{10, 0};  // a lost reply fails the test, not hangs it
+  ASSERT_EQ(::setsockopt(fd.Get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(router.Port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd.Get(), reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  constexpr int kRequests = 8000;  // ~312 KB of replies
+  std::vector<std::uint8_t> out;
+  for (int i = 0; i < kRequests; ++i) {
+    net::SubmitRequest msg;
+    msg.id = static_cast<std::uint64_t>(i);
+    msg.length = 64;
+    net::EncodeSubmit(msg, out);
+  }
+  for (std::size_t off = 0; off < out.size();) {
+    const ssize_t n = ::send(fd.Get(), out.data() + off, out.size() - off,
+                             MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+  std::this_thread::sleep_for(100ms);
+
+  std::vector<int> seen(kRequests, 0);
+  net::FrameDecoder decoder;
+  int received = 0;
+  std::uint8_t buf[4096];
+  while (received < kRequests) {
+    const ssize_t n = ::recv(fd.Get(), buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "after " << received << " replies";
+    decoder.Feed(buf, static_cast<std::size_t>(n));
+    net::Frame frame;
+    net::FrameDecoder::Result r;
+    while ((r = decoder.Next(frame)) == net::FrameDecoder::Result::kFrame) {
+      ASSERT_EQ(frame.type, net::MsgType::kReply);
+      ASSERT_LT(frame.reply.id, static_cast<std::uint64_t>(kRequests));
+      EXPECT_EQ(frame.reply.status, net::ReplyStatus::kOk);
+      ++seen[frame.reply.id];
+      ++received;
+    }
+    ASSERT_EQ(r, net::FrameDecoder::Result::kNeedMore) << decoder.Error();
+  }
+  EXPECT_EQ(decoder.Pending(), 0u);
+  for (int i = 0; i < kRequests; ++i) EXPECT_EQ(seen[i], 1) << "id " << i;
+  EXPECT_EQ(router.GetStats().replies, static_cast<std::uint64_t>(kRequests));
+
+  router.Stop();
+}
+
+// A client leaves with requests in flight.  Their replies still resolve the
+// router's books (the loop's conservation check runs every pass) and are
+// dropped; the next client is served as if nothing happened.
+TEST(ClusterRouter, ClientDisconnectWithRequestsInFlight) {
+  FakeBackend backend(FakeBackend::Mode::kHold);
+
+  RouterConfig rc;
+  rc.nodes = {{"a", backend.Port(), 0}};
+  Router router(rc);
+  router.Start();
+
+  constexpr int kOrphans = 16;
+  {
+    net::ClientConnection leaver(router.Port());
+    for (int i = 0; i < kOrphans; ++i) {
+      net::SubmitRequest submit;
+      submit.id = static_cast<std::uint64_t>(i);
+      submit.length = 64;
+      leaver.Send(submit);
+    }
+    ASSERT_TRUE(WaitFor([&] { return backend.Received() == kOrphans; }));
+  }  // closes with every request held by the backend
+  backend.Release();
+  ASSERT_TRUE(WaitFor([&] {
+    return router.GetStats().replies == static_cast<std::uint64_t>(kOrphans);
+  }));
+
+  net::ClientConnection client(router.Port());
+  for (int i = 0; i < 4; ++i) {
+    net::SubmitRequest submit;
+    submit.id = static_cast<std::uint64_t>(50 + i);
+    submit.request_id = static_cast<std::uint64_t>(500 + i);
+    submit.length = 64;
+    client.Send(submit);
+    net::Reply reply;
+    ASSERT_TRUE(client.Receive(reply));
+    EXPECT_EQ(reply.status, net::ReplyStatus::kOk);
+    EXPECT_EQ(reply.id, static_cast<std::uint64_t>(50 + i));
+    EXPECT_EQ(reply.request_id, static_cast<std::uint64_t>(500 + i));
+  }
+
+  const Router::Stats stats = router.GetStats();
+  EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kOrphans + 4));
+  EXPECT_EQ(stats.replies, stats.accepted);
+  EXPECT_EQ(stats.no_node, 0u);
+  EXPECT_EQ(router.Pool().Status()[0].inflight, 0);
+  std::ostringstream status;
+  router.WriteStatusJson(status);
+  EXPECT_NE(status.str().find("\"inflight\":0,"), std::string::npos)
+      << status.str();
+
+  router.Stop();
 }
 
 // Graceful drain: the drained node stops receiving new work, reaches
@@ -532,16 +735,24 @@ TEST(ClusterRouter, ProbeFailureEvictsAndShedsExplicitly) {
   }
   EXPECT_FALSE(router.Healthy());
   EXPECT_EQ(router.Pool().Status()[0].state, NodeState::kEvicted);
+  EXPECT_EQ(router.Pool().Status()[0].down_reason,
+            "2 consecutive failed probes");
+  std::ostringstream status;
+  router.WriteStatusJson(status);
+  EXPECT_NE(status.str().find(
+                "\"down_reason\":\"2 consecutive failed probes\""),
+            std::string::npos)
+      << status.str();
   EXPECT_GE(sink.Cluster().probe_failures->Value(), 2u);
   EXPECT_EQ(sink.Cluster().evictions->Value(), 1u);
 
   router.Stop();
 }
 
-// Protocol compatibility through the router: a v4 submit carrying
-// decode_len and tenant_class, and a hand-built v3 frame from a legacy
-// client, both reach the backend with their fields intact (v3 lands in
-// class 0) and both replies come back with client tokens preserved.
+// Protocol versions through the router: a v5 submit carrying decode_len
+// and tenant_class reaches the backend with both intact and its reply comes
+// back with the client's tokens, while a legacy v4 frame is refused — the
+// router drops that connection and forwards nothing.
 TEST(ClusterRouter, ForwardsDecodeLenAndTenantClassAcrossVersions) {
   FakeBackend backend(FakeBackend::Mode::kEcho);
 
@@ -551,7 +762,7 @@ TEST(ClusterRouter, ForwardsDecodeLenAndTenantClassAcrossVersions) {
   Router router(rc);
   router.Start();
 
-  // v4 client: generative + tenant-tagged submit.
+  // v5 client: generative + tenant-tagged submit.
   net::ClientConnection client(router.Port());
   net::SubmitRequest submit;
   submit.id = 5;
@@ -566,62 +777,23 @@ TEST(ClusterRouter, ForwardsDecodeLenAndTenantClassAcrossVersions) {
   EXPECT_EQ(reply.id, 5u);
   EXPECT_EQ(reply.request_id, 505u);
 
-  // v3 client: hand-built 36-byte-payload generative submit (decode_len
-  // but no tenant_class) over a raw socket.
+  // v4 client: a current-layout submit stamped version 4 over a raw socket.
+  std::vector<std::uint8_t> bytes;
+  submit.id = 9;
+  net::EncodeSubmit(submit, bytes);
+  bytes[4] = 4;
   net::ScopedFd raw = net::ConnectTcp(router.Port());
-  std::vector<std::uint8_t> bytes = {
-      38, 0, 0, 0, 3, static_cast<std::uint8_t>(net::MsgType::kSubmit)};
-  auto put_u64 = [&bytes](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  auto put_u32 = [&bytes](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  put_u64(9u);    // id
-  put_u64(909u);  // request_id
-  put_u32(0u);    // model
-  put_u32(256u);  // length
-  put_u32(16u);   // decode_len
-  put_u64(0u);    // deadline_ns
-  ASSERT_EQ(bytes.size(), 4u + 38u);
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t sent = ::send(raw.Get(), bytes.data() + off,
-                                bytes.size() - off, MSG_NOSIGNAL);
-    ASSERT_GT(sent, 0);
-    off += static_cast<std::size_t>(sent);
-  }
-  net::FrameDecoder decoder;
-  net::Frame frame;
-  bool got = false;
-  std::uint8_t buf[256];
-  while (!got) {
-    const ssize_t n = ::recv(raw.Get(), buf, sizeof(buf), 0);
-    ASSERT_GT(n, 0);
-    decoder.Feed(buf, static_cast<std::size_t>(n));
-    got = decoder.Next(frame) == net::FrameDecoder::Result::kFrame;
-  }
-  EXPECT_EQ(frame.type, net::MsgType::kReply);
-  EXPECT_EQ(frame.reply.status, net::ReplyStatus::kOk);
-  EXPECT_EQ(frame.reply.id, 9u);
-  EXPECT_EQ(frame.reply.request_id, 909u);
+  ASSERT_EQ(::send(raw.Get(), bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  std::uint8_t buf[64];
+  EXPECT_EQ(::recv(raw.Get(), buf, sizeof(buf), 0), 0);  // dropped: EOF
 
-  ASSERT_TRUE(WaitFor([&] { return backend.Received() == 2; }));
   const std::vector<net::SubmitRequest> seen = backend.Submits();
-  ASSERT_EQ(seen.size(), 2u);
-  const net::SubmitRequest& v4 = seen[0].id == 5u ? seen[0] : seen[1];
-  const net::SubmitRequest& v3 = seen[0].id == 9u ? seen[0] : seen[1];
-  EXPECT_EQ(v4.id, 5u);
-  EXPECT_EQ(v4.decode_len, 48u);
-  EXPECT_EQ(v4.tenant_class, 2u);
-  EXPECT_EQ(v3.id, 9u);
-  EXPECT_EQ(v3.length, 256u);
-  EXPECT_EQ(v3.decode_len, 16u);
-  EXPECT_EQ(v3.tenant_class, 0u);  // legacy clients land in class 0
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].id, 5u);
+  EXPECT_EQ(seen[0].decode_len, 48u);
+  EXPECT_EQ(seen[0].tenant_class, 2u);
+  EXPECT_EQ(router.GetStats().accepted, 1u);
 
   router.Stop();
 }

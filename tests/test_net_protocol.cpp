@@ -92,99 +92,62 @@ TEST(NetProtocol, LayoutIsLittleEndianAndStable) {
   EXPECT_EQ(bytes[43], 0x01);  // flags (v5): kSubmitFlagTrace
 }
 
-TEST(NetProtocol, V2SubmitFramesStillDecode) {
-  // A v2 submit (32-byte payload, no decode_len) hand-built byte by byte.
-  // Old one-shot clients must keep working against a v3 server.
-  std::vector<std::uint8_t> bytes = {34, 0, 0, 0, 2,
-                                     static_cast<std::uint8_t>(MsgType::kSubmit)};
-  auto put_u64 = [&bytes](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+/// A legacy submit frame: the v2 fields (ids, model, length), then v3's
+/// decode_len and v4's tenant_class when `version` has them, then the
+/// deadline in its legacy slot order.
+std::vector<std::uint8_t> LegacySubmit(std::uint8_t version) {
+  std::vector<std::uint8_t> payload;
+  auto put = [&payload](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      payload.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }
   };
-  auto put_u32 = [&bytes](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  put_u64(0x1111u);                  // id
-  put_u64(0x2222u);                  // request_id
-  put_u32(9u);                       // model
-  put_u32(384u);                     // length
-  put_u64(0x0000000005f5e100ull);    // deadline_ns = 100ms
-  ASSERT_EQ(bytes.size(), 4u + 34u);
-
-  const Frame frame = DecodeOne(bytes);
-  EXPECT_EQ(frame.type, MsgType::kSubmit);
-  EXPECT_EQ(frame.submit.id, 0x1111u);
-  EXPECT_EQ(frame.submit.request_id, 0x2222u);
-  EXPECT_EQ(frame.submit.model, 9u);
-  EXPECT_EQ(frame.submit.length, 384u);
-  EXPECT_EQ(frame.submit.decode_len, 0u);  // v2 is one-shot by definition
-  EXPECT_EQ(frame.submit.deadline_ns, 100000000);
+  put(0x1111u, 8);  // id
+  put(0x2222u, 8);  // request_id
+  put(9u, 4);       // model
+  put(384u, 4);     // length
+  if (version >= 3) put(48u, 4);  // decode_len
+  put(0x0000000005f5e100ull, 8);  // deadline_ns = 100ms
+  if (version >= 4) payload.push_back(7u);  // tenant_class
+  std::vector<std::uint8_t> bytes;
+  const auto frame_len = static_cast<std::uint32_t>(2 + payload.size());
+  for (int i = 0; i < 4; ++i) {
+    bytes.push_back(static_cast<std::uint8_t>(frame_len >> (8 * i)));
+  }
+  bytes.push_back(version);
+  bytes.push_back(static_cast<std::uint8_t>(MsgType::kSubmit));
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  return bytes;
 }
 
-TEST(NetProtocol, V3SubmitFramesStillDecode) {
-  // A v3 submit (36-byte payload: decode_len but no tenant_class) must
-  // decode against a v4 server, landing in the default class 0.
-  std::vector<std::uint8_t> bytes = {38, 0, 0, 0, 3,
-                                     static_cast<std::uint8_t>(MsgType::kSubmit)};
-  auto put_u64 = [&bytes](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  auto put_u32 = [&bytes](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  put_u64(0x3333u);  // id
-  put_u64(0x4444u);  // request_id
-  put_u32(2u);       // model
-  put_u32(256u);     // length
-  put_u32(48u);      // decode_len
-  put_u64(0u);       // deadline_ns
-  ASSERT_EQ(bytes.size(), 4u + 38u);
-
-  const Frame frame = DecodeOne(bytes);
-  EXPECT_EQ(frame.type, MsgType::kSubmit);
-  EXPECT_EQ(frame.submit.id, 0x3333u);
-  EXPECT_EQ(frame.submit.length, 256u);
-  EXPECT_EQ(frame.submit.decode_len, 48u);
-  EXPECT_EQ(frame.submit.tenant_class, 0u);  // v3 has no tenant field
+/// No shipped peer speaks v2-v4 any more: their frames are a sticky
+/// "unsupported protocol version" error, never a misparse.
+void ExpectUnsupportedVersion(std::uint8_t version, std::size_t payload) {
+  const std::vector<std::uint8_t> bytes = LegacySubmit(version);
+  ASSERT_EQ(bytes.size(), 4u + 2u + payload);
+  FrameDecoder decoder;
+  decoder.Feed(bytes.data(), bytes.size());
+  Frame frame;
+  EXPECT_EQ(decoder.Next(frame), FrameDecoder::Result::kError);
+  EXPECT_EQ(decoder.Error(),
+            "unsupported protocol version " + std::to_string(version));
+  // Sticky: a valid frame after it does not revive the connection.
+  std::vector<std::uint8_t> good;
+  EncodeSubmit(SubmitRequest{}, good);
+  decoder.Feed(good.data(), good.size());
+  EXPECT_EQ(decoder.Next(frame), FrameDecoder::Result::kError);
 }
 
-TEST(NetProtocol, V4SubmitFramesStillDecode) {
-  // A v4 submit (37-byte payload: tenant_class but no flags byte) must
-  // decode against a v5 server with flags = 0 (untraced).
-  std::vector<std::uint8_t> bytes = {39, 0, 0, 0, 4,
-                                     static_cast<std::uint8_t>(MsgType::kSubmit)};
-  auto put_u64 = [&bytes](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  auto put_u32 = [&bytes](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  put_u64(0x5555u);  // id
-  put_u64(0x6666u);  // request_id
-  put_u32(1u);       // model
-  put_u32(192u);     // length
-  put_u32(16u);      // decode_len
-  put_u64(0u);       // deadline_ns
-  bytes.push_back(7u);  // tenant_class
-  ASSERT_EQ(bytes.size(), 4u + 39u);
+TEST(NetProtocol, V2SubmitFramesAreRejectedAsUnsupportedVersion) {
+  ExpectUnsupportedVersion(2, 32);  // no decode_len
+}
 
-  const Frame frame = DecodeOne(bytes);
-  EXPECT_EQ(frame.type, MsgType::kSubmit);
-  EXPECT_EQ(frame.submit.id, 0x5555u);
-  EXPECT_EQ(frame.submit.length, 192u);
-  EXPECT_EQ(frame.submit.tenant_class, 7u);
-  EXPECT_EQ(frame.submit.flags, 0u);  // v4 has no flags byte
+TEST(NetProtocol, V3SubmitFramesAreRejectedAsUnsupportedVersion) {
+  ExpectUnsupportedVersion(3, 36);  // no tenant_class
+}
+
+TEST(NetProtocol, V4SubmitFramesAreRejectedAsUnsupportedVersion) {
+  ExpectUnsupportedVersion(4, 37);  // no flags
 }
 
 TEST(NetProtocol, CurrentVersionWithV2PayloadSizeIsAnError) {
@@ -215,9 +178,8 @@ TEST(NetProtocol, V1FramesAreAStickyError) {
   EXPECT_NE(decoder.Error().find("version"), std::string::npos)
       << decoder.Error();
 
-  // A v1 reply frame aliases its type byte (2) onto the v2 version byte, so
-  // it survives the version check — but its payload sizes can never match a
-  // v2 message, so it still dies with a sticky error.
+  // A v1 reply frame aliases its type byte (2) onto the version byte, which
+  // reads as the long-retired v2: also a sticky error.
   std::vector<std::uint8_t> v1_reply = {26, 0, 0, 0, 2};
   v1_reply.resize(4 + 26, 0);
   FrameDecoder decoder2;
