@@ -20,9 +20,11 @@
 # smoke the tenant bench (weighted-fair cell must hold the interactive
 # class within its SLO), then re-run the concurrency-sensitive tests
 # (threaded testbed + batching + net frontend + sharded telemetry + admin
-# plane + cluster router + cross-hop tracing) under ThreadSanitizer, and
-# the socket/protocol + testbed-batching + admin-plane + cluster-policy +
-# tracing tests under Address+UBSanitizer.
+# plane + cluster router + cross-hop tracing + the sim-vs-testbed
+# differential) under ThreadSanitizer, and the socket/protocol +
+# testbed-batching + admin-plane + cluster-policy + tracing + executor
+# (engine, faults, generative, testbed, golden, differential) tests under
+# Address+UBSanitizer.
 #
 #   scripts/check.sh            # full gate
 #   scripts/check.sh --no-tsan  # skip the TSan stage (fast local loop)
@@ -418,15 +420,15 @@ if [[ "$run_tsan" == 1 ]]; then
   # halt_on_error so a reported race fails the gate rather than scrolling by.
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/arlo_tests \
-    --gtest_filter='Testbed.*:TestbedBatching.*:GenerativeTestbed.*:TelemetryConcurrency.*:TelemetrySinkTest.*:NetLoopback.*:NetClient.*:ObsAdmin*:ObsFlightRecorder.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*'
+    --gtest_filter='Testbed.*:TestbedBatching.*:GenerativeTestbed.*:TelemetryConcurrency.*:TelemetrySinkTest.*:NetLoopback.*:NetClient.*:ObsAdmin*:ObsFlightRecorder.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*:ExecutorDifferential.*'
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== Address+UBSanitizer (net protocol + loopback + router) =="
+  echo "== Address+UBSanitizer (net, router, executor core on both substrates) =="
   cmake -B build-asan -S . -DARLO_ASAN=ON >/dev/null
   cmake --build build-asan -j "$(nproc)" --target arlo_tests
   ./build-asan/tests/arlo_tests \
-    --gtest_filter='NetProtocol*:NetClient.*:Admission.*:NetLoopback.*:TestbedBatching.*:GenerativeTestbed.*:ObsAdmin*:ObsHttp.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*'
+    --gtest_filter='NetProtocol*:NetClient.*:Admission.*:NetLoopback.*:TestbedBatching.*:GenerativeTestbed.*:ObsAdmin*:ObsHttp.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*:Engine.*:EngineBatching.*:FaultInjection.*:FaultPlanSim.*:GenerativeEngine.*:Testbed.*:ExecutorGolden.*:ExecutorDifferential.*'
 fi
 
 echo "== check.sh: all green =="

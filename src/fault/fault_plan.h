@@ -3,8 +3,8 @@
 // times, plus stochastic-but-seeded transient dispatch errors and random
 // background crashes.  One plan drives both execution substrates: the
 // discrete-event simulator consumes it as scheduled events (byte-identical
-// traces for a fixed plan + seed), and the threaded testbed consumes it as
-// worker-thread behaviours applied by a fault supervisor thread.
+// traces for a fixed plan + seed), and the threaded testbed runs the same
+// executor-core fault handling on a timer thread against the wall clock.
 //
 // Text DSL (one directive per line; '#' starts a comment; times/durations
 // are seconds; grammar documented in docs/FAULTS.md):

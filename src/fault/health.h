@@ -5,8 +5,8 @@
 // progress (batch starts, completions) and answers "which tracked instances
 // have outstanding work but no progress for longer than the timeout".  What
 // to do with a hung instance (kill + requeue) is the caller's decision;
-// both the sim engine and the testbed's fault supervisor reap via the same
-// crash path so recovery is identical.
+// the executor core both substrates share reaps via its crash path, so
+// recovery is identical.
 #pragma once
 
 #include <functional>

@@ -4,7 +4,7 @@
 // requests at wall-clock time and observe completions through callbacks.
 //
 // Lifecycle: Start() deploys the scheme and spawns the ticker / telemetry
-// snapshotter / fault supervisor; Submit() hands a request to the dispatcher
+// snapshotter / fault timer; Submit() hands a request to the dispatcher
 // (thread-safe, any producer thread); Finish() waits for every submitted
 // request to complete, stops the machinery, and returns the records.
 //

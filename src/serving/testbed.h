@@ -1,92 +1,49 @@
 // Threaded testbed emulation: the wall-clock counterpart of the simulator.
 //
-// Each GPU instance is a dedicated worker thread that holds a request for
-// its modeled compute time (precise hybrid sleep+spin waiting); the trace is
-// replayed in (optionally compressed) real time; all scheme interactions are
-// serialized under one dispatch mutex, mirroring a Triton-style frontend.
-// The same Scheme implementations run unmodified on the simulator and here,
-// which is what the §5.2.1 calibration experiment compares.
+// Each GPU instance is a dedicated worker thread that holds a batch for its
+// modeled compute time (precise hybrid sleep+spin waiting); the trace is
+// replayed in (optionally compressed) real time.  Execution itself —
+// dispatch, batching, faults, records — is the sim::ExecutorCore the
+// simulator runs too, so the same Scheme implementations and the same
+// executor logic run on both substrates, which is what the §5.2.1
+// calibration experiment compares.
 //
 // This header declares the shared config/result types and the trace-replay
 // entry point; the machinery itself lives behind the LiveTestbed submission
 // API in live_testbed.h so the src/net frontend can drive it over sockets.
 //
-// Lock ordering: dispatch mutex -> worker mutex, never the reverse.
+// Locking: one mutex.  Every core call, scheme call and state change happens
+// under the testbed's dispatch mutex.  Workers and the fault timer thread
+// wait on condition variables bound to it; a worker drops it only to sleep
+// out a service time.  Frontend threads read load estimates lock-free.
 #pragma once
 
-#include "batch/continuous.h"
-#include "batch/policy.h"
 #include "common/types.h"
-#include "fault/fault_plan.h"
-#include "fault/retry.h"
+#include "sim/executor.h"
 #include "sim/scheme.h"
-#include "tenant/class_table.h"
 #include "trace/trace.h"
 
 #include <atomic>
 #include <cstdint>
 #include <vector>
 
-namespace arlo::telemetry {
-class TelemetrySink;
-}
-
 namespace arlo::serving {
 
-struct TestbedConfig {
+/// The testbed's configuration: the shared executor knobs (see
+/// sim::ExecutorConfig — batching, generative mode, telemetry, faults,
+/// tenants) plus the knobs only a wall-clock run has.  Testbed notes on the
+/// shared knobs: a waiting batch policy waits on the worker's condition
+/// variable, so kills, retirement and arrivals interrupt it; the telemetry
+/// sink must be Concurrency::kMultiThreaded and is snapshotted by a
+/// wall-clock thread; fault-plan events, retries and health checks run on a
+/// timer thread; `resilience.shed_deadline` is ignored.
+struct TestbedConfig : sim::ExecutorConfig {
   /// Wall-clock seconds per simulated second.  1.0 = real time; 0.1 runs
   /// 10x compressed (all compute times and delays shrink together, so
   /// relative behaviour is preserved up to OS timer precision).
   double time_scale = 1.0;
-  /// Network + host-device overhead added per request (the quantity the
-  /// simulator calibrates to in §5.2.1).
-  SimDuration per_request_overhead = Millis(0.8);
   /// Precision knob: the final stretch of each wait is busy-spun.
   SimDuration spin_threshold = Micros(200.0);
-
-  /// Dynamic batching (§6 extension): a worker pulls up to this many queued
-  /// requests per pick and executes them as one padded batch via
-  /// CompiledRuntime::BatchComputeTime.  1 = the paper's batch-1 serving.
-  int max_batch = 1;
-  /// Batch formation policy (not owned; must outlive the run).  Null means
-  /// batch::GreedyBatcher — take whatever is queued, immediately, which is
-  /// the historical behaviour.  Policies that wait (e.g. "slo") do so on
-  /// the worker's condition variable, so kills, retirement, and new
-  /// arrivals interrupt the wait promptly.  See docs/BATCHING.md.
-  const batch::BatchPolicy* batch_policy = nullptr;
-
-  /// Generative (autoregressive) serving (not owned; must outlive the run).
-  /// Null keeps the historical one-shot path.  When set, every worker owns
-  /// a batch::ContinuousBatcher and executes prefill/decode iterations
-  /// priced by the runtime's two-phase cost model instead of the one-shot
-  /// batch path; `max_batch`/`batch_policy` are ignored.  See
-  /// docs/GENERATIVE.md.
-  const batch::GenerativeConfig* generative = nullptr;
-
-  /// Optional telemetry sink (not owned; must outlive the run).  Construct
-  /// it with Concurrency::kMultiThreaded — workers record concurrently.
-  /// Snapshots are driven by a wall-clock thread at the sink's period
-  /// (in scaled, i.e. simulated, time).  Null disables telemetry.
-  telemetry::TelemetrySink* telemetry = nullptr;
-
-  /// Declarative fault injection (not owned; must outlive the run).  A
-  /// fault supervisor thread applies the plan's events — crashed workers
-  /// die with their in-flight request requeued, hung workers freeze, slowed
-  /// workers stretch service times — and dispatches due retries.  Event
-  /// times are simulated (scaled) time, same as the simulator, so one plan
-  /// drives both substrates.  See docs/FAULTS.md.
-  const fault::FaultPlan* fault_plan = nullptr;
-  /// Retry backoff + hang-detection behaviour when a plan is attached.
-  /// Deadline shedding is a simulator-only feature and is ignored here —
-  /// the wall-clock equivalent is the net frontend's admission controller
-  /// (src/net/admission.h), which early-rejects before submission.
-  fault::ResiliencePolicy resilience;
-
-  /// Optional tenant class table (not owned; must outlive the run).  When
-  /// set, the central buffer dispatches weighted-deficit round-robin across
-  /// per-class queues with a slack-aware tie-break and /statusz gains
-  /// per-class rows (docs/TENANTS.md); null keeps the historical FIFO.
-  const tenant::TenantClassTable* tenants = nullptr;
 
   /// Per-worker admission depth: a worker holding this many outstanding
   /// requests (queued + executing; waiting + resident in generative mode)
@@ -112,19 +69,10 @@ struct TestbedConfig {
   std::vector<int> mix_bounds;
 };
 
-struct TestbedResult {
+struct TestbedResult : sim::ExecutorCounters {
   std::vector<RequestRecord> records;  ///< times in simulated ns
   SimTime end_time = 0;
   int peak_workers = 0;
-  int injected_failures = 0;           ///< workers killed (crash + reaped hangs)
-  std::uint64_t faults_injected = 0;   ///< all fault activations
-  std::uint64_t retries = 0;           ///< transient dispatch errors retried
-  std::uint64_t requeues = 0;          ///< requests drained off dead workers
-  std::uint64_t batches_formed = 0;    ///< batches launched (size 1 included)
-  std::uint64_t batch_timeouts = 0;    ///< batches launched on budget expiry
-  std::uint64_t gen_prefill_iterations = 0;  ///< generative prefill cohorts
-  std::uint64_t gen_decode_iterations = 0;   ///< generative decode steps
-  std::uint64_t gen_preemptions = 0;         ///< KV evictions (recompute)
 };
 
 /// Replays the trace through the scheme on real threads.  Blocks until all

@@ -1,624 +1,99 @@
 #include "sim/engine.h"
 
-#include <algorithm>
-
 #include "common/check.h"
+#include "sim/event_queue.h"
 #include "telemetry/sink.h"
 
 namespace arlo::sim {
-namespace detail {
+namespace {
 
-Engine::Engine(const trace::Trace& trace, Scheme& scheme,
-               const EngineConfig& config)
-    : trace_(trace),
-      scheme_(scheme),
-      config_(config),
-      buffer_(config.tenants),
-      health_(config.resilience.hang_timeout) {
-  if (config_.collect_records) records_.reserve(trace_.Size());
-  if (config_.batch_policy) {
-    policy_ = config_.batch_policy;
-  } else {
-    owned_policy_ = batch::MakeBatchPolicy("greedy");
-    policy_ = owned_policy_.get();
+/// The event-queue shell around the executor core: every core callback and
+/// every priced service time becomes an event on simulated time.
+class Engine final : public ExecutorHost {
+ public:
+  Engine(const trace::Trace& trace, Scheme& scheme, const EngineConfig& config)
+      : trace_(trace),
+        config_(config),
+        core_(scheme, config, *this, CoreOptions(config)),
+        scheme_(scheme) {
+    if (config_.collect_records) records_.reserve(trace_.Size());
   }
-}
 
-void Engine::AccumulateGpuTime() {
-  const SimTime now = events_.Now();
-  gpu_time_integral_ns_ += static_cast<double>(now - last_count_change_) *
-                           static_cast<double>(active_count_);
-  last_count_change_ = now;
-  if (config_.timeline) config_.timeline->RecordGpuCount(now, active_count_);
-}
+  EngineResult Run();
 
-InstanceId Engine::LaunchInstance(
-    RuntimeId runtime, std::shared_ptr<const runtime::CompiledRuntime> rt,
-    SimDuration ready_delay) {
-  ARLO_CHECK(rt != nullptr);
-  ARLO_CHECK(ready_delay >= 0);
-  AccumulateGpuTime();
-  const auto id = static_cast<InstanceId>(instances_.size());
-  Instance inst;
-  inst.runtime = runtime;
-  inst.rt = std::move(rt);
-  if (config_.generative) {
-    inst.gen = std::make_unique<batch::ContinuousBatcher>(*config_.generative);
+  // ExecutorHost:
+  SimTime Now() const override { return events_.Now(); }
+  void OnLaunched(InstanceId id, SimDuration ready_delay) override {
+    batch_timer_at_.push_back(0);
+    events_.Schedule(Now() + ready_delay, [this, id] { core_.MarkReady(id); });
   }
-  instances_.push_back(std::move(inst));
-  ++active_count_;
-  peak_count_ = std::max(peak_count_, active_count_);
-  if (config_.telemetry) {
-    config_.telemetry->RecordInstanceLaunch(events_.Now(), id, runtime);
-    UpdateClusterGauges();
+  void Wake(InstanceId id) override { MaybeStartNext(id); }
+  void At(SimTime at, std::function<void()> fn) override {
+    events_.Schedule(at, std::move(fn));
   }
-  events_.Schedule(events_.Now() + ready_delay, [this, id, runtime] {
-    Instance& i = instances_[id];
-    if (i.gone) return;  // retired before it became ready
-    i.ready = true;
-    if (config_.telemetry) {
-      config_.telemetry->RecordInstanceReady(events_.Now(), id, runtime);
-    }
-    if (config_.fault_plan) health_.OnReady(id, events_.Now());
-    scheme_.OnInstanceReady(id, runtime);
-    RetryBuffered();
-    MaybeStartNext(id);
-  });
-  return id;
-}
+  void OnServed(const RequestRecord& record, int /*batch*/) override {
+    if (config_.collect_records) records_.push_back(record);
+  }
 
-void Engine::RetireInstance(InstanceId id) {
-  ARLO_CHECK(id < instances_.size());
-  Instance& inst = instances_[id];
-  ARLO_CHECK_MSG(!inst.gone && !inst.retiring, "double retirement");
-  inst.retiring = true;
-  // Re-dispatch queued (not yet executing) requests through the scheme.
-  // Generative instances keep their residents: in-flight and resident
-  // sequences decode to completion in place, then retirement finalizes.
-  std::vector<batch::Item> orphans;
-  if (inst.gen) {
-    orphans = inst.gen->StealWaiting();
-  } else {
-    orphans.assign(inst.queue.begin(), inst.queue.end());
-    inst.queue.clear();
+ private:
+  static ExecutorCore::Options CoreOptions(const EngineConfig& config) {
+    ExecutorCore::Options options;
+    options.timeline = config.timeline;
+    options.legacy_mtbf_s = config.mean_time_between_failures_s;
+    options.legacy_fault_seed = config.fault_seed;
+    return options;
   }
-  for (const auto& q : orphans) HandleArrival(q.request);
-  if (!inst.executing && (!inst.gen || inst.gen->Idle())) {
-    FinalizeRetirement(id);
-  }
-}
 
-void Engine::FinalizeRetirement(InstanceId id) {
-  Instance& inst = instances_[id];
-  if (inst.gone) return;  // a scheme may retire from inside OnComplete
-  ARLO_CHECK(inst.retiring && !inst.executing && inst.queue.empty() &&
-             (!inst.gen || inst.gen->Idle()));
-  AccumulateGpuTime();
-  inst.gone = true;
-  inst.rt.reset();
-  inst.gen.reset();
-  --active_count_;
-  if (config_.telemetry) {
-    config_.telemetry->RecordInstanceRetired(events_.Now(), id);
-    UpdateClusterGauges();
-  }
-  scheme_.OnInstanceRetired(id);
-}
+  void MaybeStartNext(InstanceId id);
+  void ScheduleBatchTimer(InstanceId id, SimTime at);
+  void CompleteAt(InstanceId id, SimTime at);
+  void ScheduleNextArrival();
+  void ScheduleTick();
+  void ScheduleSnapshot();
 
-int Engine::OutstandingOn(InstanceId id) const {
-  ARLO_CHECK(id < instances_.size());
-  const Instance& inst = instances_[id];
-  if (inst.gen) return inst.gen->WaitingCount() + inst.gen->ResidentCount();
-  return static_cast<int>(inst.queue.size() + inst.current_batch.size());
-}
-
-void Engine::HandleArrival(const Request& request) {
-  HandleArrivalAttempt(request, 0);
-}
-
-void Engine::HandleArrivalAttempt(const Request& request, int attempt) {
-  // Transient dispatch error: the attempt fails before touching the
-  // scheduler and is retried with jittered exponential backoff.  After
-  // max_attempts failures the request dispatches normally — the fault layer
-  // must never turn a transient error into a lost request.
-  if (config_.fault_plan && config_.fault_plan->dispatch_error_prob > 0.0 &&
-      attempt < config_.resilience.retry.max_attempts &&
-      fault_rng_.Bernoulli(config_.fault_plan->dispatch_error_prob)) {
-    ++retries_total_;
-    const SimDuration backoff =
-        config_.resilience.retry.BackoffFor(attempt, fault_rng_);
-    if (config_.telemetry) {
-      config_.telemetry->RecordRetry(request, events_.Now(), attempt + 1,
-                                     backoff);
-    }
-    events_.Schedule(events_.Now() + backoff, [this, request, attempt] {
-      HandleArrivalAttempt(request, attempt + 1);
-    });
-    return;
-  }
-  if (config_.timeline) config_.timeline->RecordArrival(events_.Now());
-  if (config_.telemetry) {
-    config_.telemetry->RecordEnqueue(request, events_.Now());
-  }
-  if (!TryDispatch(request)) {
-    buffer_.PushBack(request);
-    ++buffered_total_;
-    if (config_.telemetry) {
-      config_.telemetry->RecordBuffered(request, events_.Now());
-      UpdateClusterGauges();
-    }
-  }
-}
-
-bool Engine::TryDispatch(const Request& request) {
-  const InstanceId id = scheme_.SelectInstance(request, *this);
-  if (id == kInvalidInstance) return false;
-  ARLO_CHECK(id < instances_.size());
-  Instance& inst = instances_[id];
-  ARLO_CHECK_MSG(inst.ready && !inst.retiring && !inst.gone,
-                 "scheme selected an unavailable instance");
-  ARLO_CHECK_MSG(inst.rt->Accepts(request.length),
-                 "scheme selected a runtime that cannot serve this length");
-  if (inst.gen) {
-    inst.gen->Enqueue(batch::Item{request, events_.Now()});
-  } else {
-    inst.queue.push_back(batch::Item{request, events_.Now()});
-  }
-  scheme_.OnDispatched(request, id);
-  ++outstanding_;
-  if (config_.telemetry) {
-    config_.telemetry->RecordDispatch(request, events_.Now(), id,
-                                      inst.runtime);
-    UpdateClusterGauges();
-  }
-  if (config_.timeline) {
-    config_.timeline->RecordOutstanding(
-        events_.Now(), outstanding_ + static_cast<int>(buffer_.Size()));
-  }
-  MaybeStartNext(id);
-  return true;
-}
+  const trace::Trace& trace_;
+  EngineConfig config_;
+  EventQueue events_;
+  ExecutorCore core_;
+  Scheme& scheme_;
+  std::vector<RequestRecord> records_;
+  std::size_t next_arrival_ = 0;
+  /// Per instance: the pending batch-formation re-poll (0 = none).  Any
+  /// launch or an earlier timer supersedes a later one.
+  std::vector<SimTime> batch_timer_at_;
+};
 
 void Engine::MaybeStartNext(InstanceId id) {
-  Instance& inst = instances_[id];
-  if (inst.gen) {
-    GenMaybeStartNext(id);
-    return;
+  const ExecutorCore::Start start = core_.StartNext(id);
+  switch (start.kind) {
+    case ExecutorCore::Start::Kind::kIdle:
+      break;
+    case ExecutorCore::Start::Kind::kWait:
+      ScheduleBatchTimer(id, start.until);
+      break;
+    case ExecutorCore::Start::Kind::kRun:
+      batch_timer_at_[id] = 0;
+      CompleteAt(id, start.until);
+      break;
   }
-  if (inst.executing || !inst.ready || inst.queue.empty()) return;
-  if (inst.hung_until > events_.Now()) return;  // frozen; recovery re-kicks
-  const SimTime now = events_.Now();
-
-  // Ask the batch policy what to run.  An empty take means "wait for the
-  // batch to fill": schedule a re-poll timer at the policy's deadline —
-  // arrivals and fault recoveries re-poll sooner through this same path.
-  batch::BatchContext ctx;
-  ctx.now = now;
-  ctx.max_batch = config_.max_batch;
-  ctx.per_request_overhead = config_.per_request_overhead;
-  batch::BatchDecision decision = policy_->Decide(inst.queue, *inst.rt, ctx);
-  if (decision.take.empty()) {
-    ARLO_CHECK_MSG(decision.wait > 0,
-                   "batch policy must take requests or wait a positive time");
-    ScheduleBatchTimer(id, now + decision.wait);
-    return;
-  }
-  inst.batch_timer_at = 0;  // a launch supersedes any pending re-poll
-
-  inst.current_batch.clear();
-  int max_len = 1;
-  int sum_len = 0;
-  std::size_t prev_idx = 0;
-  for (std::size_t k = 0; k < decision.take.size(); ++k) {
-    const std::size_t idx = decision.take[k];
-    ARLO_CHECK_MSG(idx < inst.queue.size() && (k == 0 || idx > prev_idx),
-                   "batch policy returned invalid take indices");
-    prev_idx = idx;
-    inst.current_batch.push_back(inst.queue[idx]);
-    max_len = std::max(max_len, inst.queue[idx].request.length);
-    sum_len += inst.queue[idx].request.length;
-  }
-  for (auto it = decision.take.rbegin(); it != decision.take.rend(); ++it) {
-    inst.queue.erase(inst.queue.begin() + static_cast<std::ptrdiff_t>(*it));
-  }
-  const int n = static_cast<int>(inst.current_batch.size());
-
-  inst.executing = true;
-  inst.current_start = now;
-  SimDuration service =
-      static_cast<SimDuration>(n) * config_.per_request_overhead +
-      inst.rt->BatchComputeTime(n, max_len);
-  if (now < inst.slow_until) {
-    service = static_cast<SimDuration>(static_cast<double>(service) *
-                                       inst.slow_factor);
-  }
-  busy_ns_total_ += static_cast<double>(service);
-  ++batches_formed_;
-  if (decision.timed_out) ++batch_timeouts_;
-  if (config_.telemetry) {
-    const batch::PaddingTokens tokens =
-        batch::BatchPaddingTokens(*inst.rt, n, sum_len, max_len);
-    config_.telemetry->RecordBatchFormed(
-        now, id, n, tokens.useful, tokens.computed,
-        now - inst.current_batch.front().queued_at, decision.timed_out);
-  }
-  if (config_.fault_plan) health_.OnProgress(id, now);
-  events_.Schedule(now + service, [this, id] { HandleCompletion(id); });
 }
 
-void Engine::GenMaybeStartNext(InstanceId id) {
-  Instance& inst = instances_[id];
-  ARLO_CHECK(inst.gen != nullptr);
-  if (inst.executing || !inst.ready) return;
-  const SimTime now = events_.Now();
-  if (inst.hung_until > now) return;  // frozen; recovery re-kicks
-
-  const batch::IterationPlan plan = inst.gen->BeginIteration(now);
-  if (plan.kind == batch::IterationPlan::Kind::kNone) return;
-
-  SimDuration service = 0;
-  if (plan.kind == batch::IterationPlan::Kind::kPrefill) {
-    // A prefill cohort is priced like a one-shot batch: per-request overhead
-    // plus the padded batched forward pass over the admitted prompts.
-    service =
-        static_cast<SimDuration>(plan.batch) * config_.per_request_overhead +
-        inst.rt->BatchComputeTime(plan.batch, plan.max_len);
-  } else {
-    // One token for every resident sequence, billed at the batcher's bucket
-    // (static mode keeps the cohort's launch shape until it drains).
-    service = inst.rt->DecodeStepTime(plan.billed_batch, plan.max_len);
-  }
-  if (now < inst.slow_until) {
-    service = static_cast<SimDuration>(static_cast<double>(service) *
-                                       inst.slow_factor);
-  }
-  inst.executing = true;
-  inst.current_start = now;
-  busy_ns_total_ += static_cast<double>(service);
-  gen_preemptions_ += static_cast<std::uint64_t>(plan.preempted);
-  if (plan.kind == batch::IterationPlan::Kind::kPrefill) {
-    ++batches_formed_;
-    ++gen_prefill_iters_;
-    if (config_.telemetry) {
-      config_.telemetry->RecordGenPrefill(now, id, plan.batch, plan.preempted,
-                                          service);
-    }
-  } else {
-    ++gen_decode_iters_;
-  }
-  UpdateGenGauges();
-  if (config_.fault_plan) health_.OnProgress(id, now);
-  events_.Schedule(now + service, [this, id] { HandleGenCompletion(id); });
+void Engine::CompleteAt(InstanceId id, SimTime at) {
+  events_.Schedule(at, [this, id] {
+    const SimTime frozen_until = core_.Complete(id);
+    if (frozen_until > 0) CompleteAt(id, frozen_until);
+  });
 }
 
 void Engine::ScheduleBatchTimer(InstanceId id, SimTime at) {
-  Instance& inst = instances_[id];
   // An earlier pending timer already covers this re-poll.
-  if (inst.batch_timer_at != 0 && inst.batch_timer_at <= at) return;
-  inst.batch_timer_at = at;
+  if (batch_timer_at_[id] != 0 && batch_timer_at_[id] <= at) return;
+  batch_timer_at_[id] = at;
   events_.Schedule(at, [this, id, at] {
-    Instance& i = instances_[id];
-    if (i.gone || i.batch_timer_at != at) return;  // superseded or dead
-    i.batch_timer_at = 0;
+    if (batch_timer_at_[id] != at) return;  // superseded
+    batch_timer_at_[id] = 0;
     MaybeStartNext(id);
   });
-}
-
-double Engine::CrashMtbfSeconds() const {
-  if (config_.fault_plan && config_.fault_plan->random_crash_mtbf_s > 0.0) {
-    return config_.fault_plan->random_crash_mtbf_s;
-  }
-  return config_.fault_plan ? 0.0 : config_.mean_time_between_failures_s;
-}
-
-void Engine::ScheduleNextFailure() {
-  const double mtbf_s = CrashMtbfSeconds();
-  if (mtbf_s <= 0.0) return;
-  const SimDuration gap = Seconds(fault_rng_.Exponential(1.0 / mtbf_s));
-  events_.Schedule(events_.Now() + gap, [this] {
-    if (completed_ < trace_.Size()) {
-      InjectFailure();
-      ScheduleNextFailure();
-    }
-  });
-}
-
-void Engine::InjectFailure() {
-  // Pick a random live (ready, serving) instance.
-  std::vector<InstanceId> live;
-  for (InstanceId id = 0; id < instances_.size(); ++id) {
-    const Instance& inst = instances_[id];
-    if (inst.ready && !inst.retiring && !inst.gone) live.push_back(id);
-  }
-  if (live.empty()) return;
-  const InstanceId victim = live[static_cast<std::size_t>(
-      fault_rng_.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1))];
-  CrashInstance(victim);
-}
-
-bool Engine::CrashInstance(InstanceId victim) {
-  // Plan events and hang reaps target instances that may have retired or
-  // crashed already — a fault against a non-serving instance is a no-op.
-  if (victim >= instances_.size()) return false;
-  Instance& inst = instances_[victim];
-  if (!inst.ready || inst.retiring || inst.gone) return false;
-
-  // The scheme drops the instance from its structures first (and may
-  // launch replacement capacity).
-  scheme_.OnInstanceFailure(victim, *this);
-
-  // Vanish instantly: lose nothing — queued and in-flight requests are
-  // re-dispatched with their original arrival times.  A generative instance
-  // additionally loses its KV caches: resident sequences restart from
-  // prefill (recompute) on whichever instance they land on next.
-  std::vector<batch::Item> orphans;
-  if (inst.gen) {
-    orphans = inst.gen->StealAll();
-    inst.gen.reset();
-  } else {
-    orphans.assign(inst.queue.begin(), inst.queue.end());
-    inst.queue.clear();
-    for (const auto& q : inst.current_batch) orphans.push_back(q);
-    inst.current_batch.clear();
-  }
-  inst.executing = false;  // the stale completion event is ignored via gone
-  AccumulateGpuTime();
-  inst.gone = true;
-  inst.rt.reset();
-  --active_count_;
-  ++injected_failures_;
-  ++faults_total_;
-  health_.OnGone(victim);
-  if (config_.telemetry) {
-    config_.telemetry->RecordInstanceFailure(events_.Now(), victim);
-    UpdateClusterGauges();
-  }
-  for (const auto& q : orphans) {
-    outstanding_ -= 1;  // HandleArrival/TryDispatch re-counts on dispatch
-    ++requeues_total_;
-    if (config_.telemetry) {
-      config_.telemetry->RecordRequeue(q.request, events_.Now(), victim);
-    }
-    HandleArrival(q.request);
-  }
-  return true;
-}
-
-void Engine::SchedulePlanEvents() {
-  for (const fault::FaultEvent& ev : config_.fault_plan->Sorted()) {
-    events_.Schedule(ev.at, [this, ev] { ApplyPlanEvent(ev); });
-  }
-}
-
-void Engine::ApplyPlanEvent(const fault::FaultEvent& event) {
-  switch (event.kind) {
-    case fault::FaultKind::kCrash:
-      CrashInstance(event.instance);
-      break;
-    case fault::FaultKind::kHang:
-      ApplyHang(event.instance, event.duration);
-      break;
-    case fault::FaultKind::kSlowdown:
-      ApplySlowdown(event.instance, event.duration, event.factor);
-      break;
-  }
-}
-
-void Engine::ApplyHang(InstanceId id, SimDuration duration) {
-  if (id >= instances_.size() || duration <= 0) return;
-  Instance& inst = instances_[id];
-  if (!inst.ready || inst.retiring || inst.gone) return;
-  const SimTime now = events_.Now();
-  // Overlapping hangs extend the window; the instance starts nothing and
-  // completes nothing until it passes (its in-flight batch slides to the
-  // window's end), unless hang detection reaps it first.
-  inst.hung_until = std::max(inst.hung_until, now + duration);
-  ++faults_total_;
-  if (config_.telemetry) config_.telemetry->RecordFaultHang(now, id, duration);
-  events_.Schedule(inst.hung_until, [this, id] {
-    Instance& i = instances_[id];
-    if (i.gone || i.hung_until > events_.Now()) return;  // reaped / extended
-    if (config_.telemetry) {
-      config_.telemetry->RecordFaultRecover(events_.Now(), id);
-    }
-    MaybeStartNext(id);
-    RetryBuffered();
-  });
-}
-
-void Engine::ApplySlowdown(InstanceId id, SimDuration duration, double factor) {
-  if (id >= instances_.size() || duration <= 0 || factor <= 0.0) return;
-  Instance& inst = instances_[id];
-  if (!inst.ready || inst.retiring || inst.gone) return;
-  const SimTime now = events_.Now();
-  inst.slow_until = std::max(inst.slow_until, now + duration);
-  inst.slow_factor = factor;
-  ++faults_total_;
-  if (config_.telemetry) {
-    config_.telemetry->RecordFaultSlowdown(now, id, duration, factor);
-  }
-  events_.Schedule(inst.slow_until, [this, id] {
-    Instance& i = instances_[id];
-    if (i.gone || i.slow_until > events_.Now()) return;  // reaped / extended
-    if (config_.telemetry) {
-      config_.telemetry->RecordFaultRecover(events_.Now(), id);
-    }
-  });
-}
-
-void Engine::ScheduleHealthCheck() {
-  const SimDuration period = config_.resilience.health_check_period;
-  ARLO_CHECK(period > 0);
-  events_.Schedule(events_.Now() + period, [this] {
-    if (completed_ >= trace_.Size()) return;
-    RunHealthCheck();
-    ScheduleHealthCheck();
-  });
-}
-
-void Engine::RunHealthCheck() {
-  if (config_.resilience.hang_timeout > 0) {
-    const std::vector<InstanceId> hung = health_.FindHung(
-        events_.Now(), [this](InstanceId id) { return OutstandingOn(id); });
-    // Reap exactly like a crash: the scheme launches replacement capacity
-    // and the hung instance's work is requeued.
-    for (const InstanceId id : hung) CrashInstance(id);
-  }
-  if (config_.resilience.shed_deadline > 0) ShedExpired();
-}
-
-void Engine::ShedExpired() {
-  const SimTime now = events_.Now();
-  const SimDuration deadline = config_.resilience.shed_deadline;
-  bool shed_any = false;
-  buffer_.RemoveIf([&](const Request& request) {
-    if (now - request.arrival <= deadline) return false;
-    RequestRecord record;
-    record.id = request.id;
-    record.arrival = request.arrival;
-    record.dispatch = now;
-    record.start = now;
-    record.completion = now;
-    record.length = request.length;
-    record.stream = request.stream;
-    record.tenant_class = request.tenant_class;
-    record.runtime = kInvalidRuntime;
-    record.instance = kInvalidInstance;
-    shed_records_.push_back(record);
-    ++sheds_total_;
-    ++completed_;  // terminal: the run does not wait for a shed request
-    shed_any = true;
-    if (config_.telemetry) config_.telemetry->RecordShed(request, now);
-    return true;
-  });
-  if (shed_any && config_.telemetry) UpdateClusterGauges();
-}
-
-void Engine::HandleCompletion(InstanceId id) {
-  Instance& inst = instances_[id];
-  if (inst.gone) return;  // completion of a request lost to a crash
-  if (inst.hung_until > events_.Now()) {
-    // Frozen mid-batch: the in-flight batch is released when the hang
-    // window ends (or never, if hang detection reaps the instance first).
-    events_.Schedule(inst.hung_until, [this, id] { HandleCompletion(id); });
-    return;
-  }
-  ARLO_CHECK(inst.executing);
-  inst.executing = false;
-  if (config_.fault_plan) health_.OnProgress(id, events_.Now());
-  const std::vector<batch::Item> finished = std::move(inst.current_batch);
-  inst.current_batch.clear();
-
-  for (const batch::Item& item : finished) {
-    RequestRecord record;
-    record.id = item.request.id;
-    record.arrival = item.request.arrival;
-    record.dispatch = item.queued_at;
-    record.start = inst.current_start;
-    record.completion = events_.Now();
-    record.length = item.request.length;
-    record.stream = item.request.stream;
-    record.tenant_class = item.request.tenant_class;
-    record.runtime = inst.runtime;
-    record.instance = id;
-    if (config_.collect_records) records_.push_back(record);
-    ++completed_;
-    --outstanding_;
-    if (config_.timeline) config_.timeline->RecordCompletion(record);
-    if (config_.telemetry) {
-      config_.telemetry->RecordComplete(record);
-      UpdateClusterGauges();
-    }
-    scheme_.OnComplete(record, *this);
-  }
-
-  if (inst.retiring) {
-    if (inst.queue.empty()) FinalizeRetirement(id);
-  } else {
-    MaybeStartNext(id);
-  }
-  RetryBuffered();
-}
-
-void Engine::HandleGenCompletion(InstanceId id) {
-  Instance& inst = instances_[id];
-  if (inst.gone) return;  // iteration lost to a crash
-  if (inst.hung_until > events_.Now()) {
-    // Frozen mid-iteration: it completes when the hang window ends (or
-    // never, if hang detection reaps the instance first).
-    events_.Schedule(inst.hung_until, [this, id] { HandleGenCompletion(id); });
-    return;
-  }
-  ARLO_CHECK(inst.executing && inst.gen != nullptr);
-  inst.executing = false;
-  const SimTime now = events_.Now();
-  if (config_.fault_plan) health_.OnProgress(id, now);
-
-  batch::ContinuousBatcher::IterationResult result =
-      inst.gen->CompleteIteration(now);
-  gen_tokens_ += static_cast<std::uint64_t>(result.tokens);
-  if (config_.telemetry) {
-    if (result.plan.kind == batch::IterationPlan::Kind::kDecode) {
-      config_.telemetry->RecordGenDecodeStep(now, id, result.plan.batch,
-                                             now - inst.current_start);
-    }
-    for (const batch::Item& item : result.first_tokens) {
-      config_.telemetry->RecordGenFirstToken(item.request, now,
-                                             now - item.request.arrival);
-    }
-  }
-
-  for (batch::GenSequence& seq : result.finished) {
-    RequestRecord record;
-    record.id = seq.item.request.id;
-    record.arrival = seq.item.request.arrival;
-    record.dispatch = seq.item.queued_at;
-    record.start = seq.prefill_start;
-    record.first_token = seq.first_token;
-    record.completion = now;
-    record.length = seq.item.request.length;
-    record.decode_len = seq.item.request.decode_len;
-    record.stream = seq.item.request.stream;
-    record.tenant_class = seq.item.request.tenant_class;
-    record.runtime = inst.runtime;
-    record.instance = id;
-    if (config_.collect_records) records_.push_back(record);
-    ++completed_;
-    --outstanding_;
-    if (config_.timeline) config_.timeline->RecordCompletion(record);
-    if (config_.telemetry) {
-      config_.telemetry->RecordComplete(record);
-      UpdateClusterGauges();
-    }
-    scheme_.OnComplete(record, *this);
-  }
-  UpdateGenGauges();
-
-  if (inst.retiring && inst.gen->Idle()) {
-    FinalizeRetirement(id);
-  } else {
-    GenMaybeStartNext(id);
-  }
-  RetryBuffered();
-}
-
-void Engine::UpdateGenGauges() {
-  if (!config_.telemetry || !config_.generative) return;
-  std::int64_t resident = 0;
-  std::int64_t capacity = 0;
-  for (const Instance& inst : instances_) {
-    if (inst.gone || !inst.gen) continue;
-    resident += inst.gen->ResidentCount();
-    capacity += inst.gen->KvCapacity();
-  }
-  config_.telemetry->SetGenKvGauges(resident, capacity);
-}
-
-void Engine::RetryBuffered() {
-  while (!buffer_.Empty()) {
-    if (!TryDispatch(buffer_.Front(events_.Now()))) return;
-    buffer_.PopFront();
-  }
 }
 
 void Engine::ScheduleNextArrival() {
@@ -627,97 +102,72 @@ void Engine::ScheduleNextArrival() {
   events_.Schedule(r.arrival, [this, r] {
     ++next_arrival_;
     ScheduleNextArrival();
-    HandleArrival(r);
+    core_.Arrive(r);
   });
-}
-
-void Engine::UpdateClusterGauges() {
-  config_.telemetry->SetClusterGauges(
-      active_count_, outstanding_, static_cast<std::int64_t>(buffer_.Size()));
 }
 
 void Engine::ScheduleSnapshot() {
   const SimDuration period = config_.telemetry->SnapshotPeriod();
   ARLO_CHECK(period > 0);
-  events_.Schedule(events_.Now() + period, [this] {
-    config_.telemetry->Snapshot(events_.Now());
-    if (completed_ < trace_.Size()) ScheduleSnapshot();
+  events_.Schedule(Now() + period, [this] {
+    config_.telemetry->Snapshot(Now());
+    ScheduleSnapshot();
   });
 }
 
 void Engine::ScheduleTick() {
   const SimDuration interval = scheme_.TickInterval();
   ARLO_CHECK(interval > 0);
-  events_.Schedule(events_.Now() + interval, [this] {
-    scheme_.OnTick(events_.Now(), *this);
-    RetryBuffered();
-    if (completed_ < trace_.Size()) ScheduleTick();
+  events_.Schedule(Now() + interval, [this] {
+    scheme_.OnTick(Now(), core_);
+    core_.RetryBuffered();
+    ScheduleTick();
   });
 }
 
 EngineResult Engine::Run() {
-  fault_rng_ = Rng(config_.fault_plan ? config_.fault_plan->seed
-                                      : config_.fault_seed);
-  scheme_.SetTelemetry(config_.telemetry);
-  scheme_.Setup(*this);
+  core_.Setup();
   ScheduleNextArrival();
   ScheduleTick();
-  ScheduleNextFailure();
-  if (config_.fault_plan) {
-    SchedulePlanEvents();
-    if (config_.resilience.hang_timeout > 0 ||
-        config_.resilience.shed_deadline > 0) {
-      ScheduleHealthCheck();
-    }
-  }
+  core_.ArmFaults();
   if (config_.telemetry) ScheduleSnapshot();
 
-  while (completed_ < trace_.Size()) {
+  // Recurring events (ticks, snapshots, health checks, random crashes)
+  // reschedule themselves forever; the run ends with the last request.
+  while (core_.Settled() < trace_.Size()) {
     ARLO_CHECK_MSG(events_.RunNext(),
                    "event queue drained before all requests completed — the "
                    "scheme stopped serving");
-    ARLO_CHECK_MSG(events_.Now() <= config_.max_sim_time,
+    ARLO_CHECK_MSG(Now() <= config_.max_sim_time,
                    "simulation exceeded max_sim_time");
   }
 
-  AccumulateGpuTime();
-  if (config_.timeline) config_.timeline->Finish(events_.Now());
-  if (config_.telemetry) {
-    UpdateClusterGauges();
-    config_.telemetry->Snapshot(events_.Now());  // final cumulative row
-  }
+  core_.Finish();
+  if (config_.timeline) config_.timeline->Finish(Now());
+  if (config_.telemetry) config_.telemetry->Snapshot(Now());  // final row
+  const ExecutorCore::Tally& tally = core_.Counters();
   EngineResult out;
+  static_cast<ExecutorCounters&>(out) = tally;
   out.records = std::move(records_);
-  out.end_time = events_.Now();
-  out.peak_gpus = peak_count_;
-  out.buffered_requests = buffered_total_;
-  out.injected_failures = injected_failures_;
-  out.faults_injected = faults_total_;
-  out.retries = retries_total_;
-  out.requeues = requeues_total_;
-  out.sheds = sheds_total_;
-  out.batches_formed = batches_formed_;
-  out.batch_timeouts = batch_timeouts_;
-  out.gen_prefill_iterations = gen_prefill_iters_;
-  out.gen_decode_iterations = gen_decode_iters_;
-  out.gen_tokens = gen_tokens_;
-  out.gen_preemptions = gen_preemptions_;
-  out.shed_records = std::move(shed_records_);
-  if (events_.Now() > 0) {
-    out.time_weighted_gpus =
-        gpu_time_integral_ns_ / static_cast<double>(events_.Now());
+  out.end_time = Now();
+  out.peak_gpus = tally.peak_instances;
+  out.buffered_requests = tally.buffered;
+  out.sheds = tally.sheds;
+  out.gen_tokens = tally.gen_tokens;
+  out.shed_records = core_.TakeShedRecords();
+  if (Now() > 0) {
+    out.time_weighted_gpus = tally.gpu_ns / static_cast<double>(Now());
     out.gpu_busy_fraction =
-        gpu_time_integral_ns_ > 0.0 ? busy_ns_total_ / gpu_time_integral_ns_
-                                    : 0.0;
+        tally.gpu_ns > 0.0 ? tally.busy_ns / tally.gpu_ns : 0.0;
   }
   return out;
 }
 
-}  // namespace detail
+}  // namespace
 
 EngineResult RunScenario(const trace::Trace& trace, Scheme& scheme,
                          const EngineConfig& config) {
-  detail::Engine engine(trace, scheme, config);
+  Engine engine(trace, scheme, config);
   return engine.Run();
 }
 

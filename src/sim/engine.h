@@ -1,41 +1,28 @@
 // The discrete-event cluster simulation engine.
 //
-// Drives a request trace through a Scheme: instances execute batch-1
-// requests serially from per-instance FIFO queues; a fixed per-request
-// overhead models network + host-to-device transfer (0.8 ms, the value the
-// paper calibrates in §5.2.1); instance launches and replacements take a
-// configurable delay (~1 s, §4).  The engine also integrates the consumed
-// GPU count over time for the auto-scaling experiment (Fig. 8).
+// Drives a request trace through a Scheme on simulated time.  Execution
+// itself — dispatch, batching, faults, records — is the ExecutorCore
+// (executor.h) the threaded testbed shares; the engine is its event-queue
+// shell: arrivals, scheme ticks, telemetry snapshots, batch re-poll timers,
+// instance provisioning delays (~1 s, §4) and completion events.  The core
+// also integrates the consumed GPU count over time for the auto-scaling
+// experiment (Fig. 8).
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <vector>
 
-#include "batch/continuous.h"
-#include "batch/policy.h"
-#include "common/rng.h"
 #include "common/types.h"
-#include "fault/fault_plan.h"
-#include "fault/health.h"
-#include "fault/retry.h"
-#include "sim/event_queue.h"
+#include "sim/executor.h"
 #include "sim/scheme.h"
 #include "sim/timeline.h"
-#include "tenant/class_table.h"
-#include "tenant/dispatch_queue.h"
 #include "trace/trace.h"
-
-namespace arlo::telemetry {
-class TelemetrySink;
-}
 
 namespace arlo::sim {
 
-struct EngineConfig {
-  /// Added to every request's service time (network + PCIe transfer).
-  SimDuration per_request_overhead = Millis(0.8);
+/// The simulator's configuration: the shared executor knobs (see
+/// ExecutorConfig) plus the knobs only a simulated run has.
+struct EngineConfig : ExecutorConfig {
   /// Hard wall on simulated time; a scenario exceeding it throws (guards
   /// against schemes that stop serving entirely).
   SimTime max_sim_time = Seconds(24.0 * 3600.0);
@@ -45,62 +32,19 @@ struct EngineConfig {
   /// run).  Receives arrivals, completions, GPU-count changes, and
   /// outstanding-work peaks.
   TimelineRecorder* timeline = nullptr;
-  /// Opportunistic dynamic batching (§6 extension): an idle instance pulls
-  /// up to this many queued requests and executes them as one batch via
-  /// CompiledRuntime::BatchComputeTime.  1 = the paper's batch-1 serving.
-  int max_batch = 1;
-  /// Batch formation policy (not owned; must outlive the run).  Null means
-  /// batch::GreedyBatcher, which reproduces the historical opportunistic
-  /// pull exactly — seeded runs are byte-identical either way.  Policies
-  /// that wait (e.g. "slo") re-poll through scheduled timer events, so
-  /// determinism is preserved.  See docs/BATCHING.md.
-  const batch::BatchPolicy* batch_policy = nullptr;
 
-  /// Generative (autoregressive) serving mode (not owned; must outlive the
-  /// run).  Null keeps the historical one-shot path — seeded runs are
-  /// byte-identical to builds without this feature.  When set, every
-  /// instance owns a batch::ContinuousBatcher and executes prefill/decode
-  /// iterations priced by the runtime's two-phase cost model instead of the
-  /// one-shot batch path; `max_batch`/`batch_policy` are ignored.  See
-  /// docs/GENERATIVE.md.
-  const batch::GenerativeConfig* generative = nullptr;
-
-  /// Fault injection (§3.4 motivation: "idiosyncratic factors such as
+  /// Legacy fault injection (§3.4 motivation: "idiosyncratic factors such as
   /// failures and bugs lead to imbalanced load").  When > 0, instances
   /// crash at exponential cluster-wide inter-failure times with this mean;
   /// a crashed instance vanishes instantly, its queued and in-flight
   /// requests are re-dispatched through the scheme, and recovery is the
   /// scheme's job (re-allocation / auto-scaling).  Schemes must implement
-  /// OnInstanceFailure.
+  /// OnInstanceFailure.  A `fault_plan` supersedes both knobs.
   double mean_time_between_failures_s = 0.0;
   std::uint64_t fault_seed = 1;
-
-  /// Declarative fault injection (not owned; must outlive the run).  A plan
-  /// supersedes the legacy mtbf knobs above: its `seed` seeds the fault RNG
-  /// and its `random_crash_mtbf_s` drives background crashes.  Scheduled
-  /// crash/hang/slowdown events fire at their plan times; transient dispatch
-  /// errors are drawn per dispatch attempt and retried per `resilience`.
-  /// See docs/FAULTS.md.
-  const fault::FaultPlan* fault_plan = nullptr;
-  /// Recovery behaviour when a plan is attached: retry backoff, hang
-  /// detection, deadline shedding.  Defaults keep hang detection and
-  /// shedding off.
-  fault::ResiliencePolicy resilience;
-
-  /// Optional telemetry sink (not owned; must outlive the run).  The engine
-  /// records the request lifecycle and cluster churn, injects the sink into
-  /// the scheme via Scheme::SetTelemetry, and drives periodic snapshots on
-  /// simulated time.  Null disables telemetry at zero cost.
-  telemetry::TelemetrySink* telemetry = nullptr;
-
-  /// Optional tenant class table (not owned; must outlive the run).  When
-  /// set, the central buffer dispatches weighted-deficit round-robin across
-  /// per-class queues with a slack-aware tie-break (docs/TENANTS.md); null
-  /// keeps the historical FIFO — seeded runs are byte-identical.
-  const tenant::TenantClassTable* tenants = nullptr;
 };
 
-struct EngineResult {
+struct EngineResult : ExecutorCounters {
   std::vector<RequestRecord> records;
   SimTime end_time = 0;              ///< completion time of the last request
   double time_weighted_gpus = 0.0;   ///< mean #instances over the run
@@ -108,17 +52,8 @@ struct EngineResult {
   std::uint64_t buffered_requests = 0;  ///< times a request could not be
                                         ///< dispatched immediately
   double gpu_busy_fraction = 0.0;    ///< aggregate compute utilization
-  int injected_failures = 0;         ///< fault-injection crash count
-  std::uint64_t faults_injected = 0;  ///< all fault activations (crash/hang/slow)
-  std::uint64_t retries = 0;          ///< transient dispatch errors retried
-  std::uint64_t requeues = 0;         ///< requests drained off dead instances
   std::uint64_t sheds = 0;            ///< buffered requests past shed deadline
-  std::uint64_t batches_formed = 0;   ///< batches launched (size 1 included)
-  std::uint64_t batch_timeouts = 0;   ///< batches launched on budget expiry
-  std::uint64_t gen_prefill_iterations = 0;  ///< generative prefill cohorts
-  std::uint64_t gen_decode_iterations = 0;   ///< generative decode steps
-  std::uint64_t gen_tokens = 0;              ///< output tokens emitted
-  std::uint64_t gen_preemptions = 0;         ///< KV evictions (recompute)
+  std::uint64_t gen_tokens = 0;       ///< output tokens emitted
   /// Requests rejected by deadline shedding (dispatch == start == completion
   /// == shed time; runtime/instance invalid).  Disjoint from `records`.
   std::vector<RequestRecord> shed_records;
@@ -128,117 +63,4 @@ struct EngineResult {
 EngineResult RunScenario(const trace::Trace& trace, Scheme& scheme,
                          const EngineConfig& config = {});
 
-namespace detail {
-
-/// The engine internals, exposed for white-box unit tests.
-class Engine final : public ClusterOps {
- public:
-  Engine(const trace::Trace& trace, Scheme& scheme, const EngineConfig& config);
-
-  EngineResult Run();
-
-  // ClusterOps:
-  InstanceId LaunchInstance(RuntimeId runtime,
-                            std::shared_ptr<const runtime::CompiledRuntime> rt,
-                            SimDuration ready_delay) override;
-  void RetireInstance(InstanceId id) override;
-  int NumInstances() const override { return active_count_; }
-  int OutstandingOn(InstanceId id) const override;
-  SimTime Now() const override { return events_.Now(); }
-
- private:
-  struct Instance {
-    RuntimeId runtime = kInvalidRuntime;
-    std::shared_ptr<const runtime::CompiledRuntime> rt;
-    std::deque<batch::Item> queue;
-    bool executing = false;
-    std::vector<batch::Item> current_batch;
-    SimTime current_start = 0;
-    bool ready = false;
-    bool retiring = false;
-    bool gone = false;
-    SimTime hung_until = 0;    ///< frozen (no starts/completions) until then
-    SimTime slow_until = 0;    ///< service times scaled until then
-    double slow_factor = 1.0;  ///< multiplier while slow_until is in force
-    /// Pending batch-formation re-poll (0 = none).  A timer event fires
-    /// MaybeStartNext at this stamp; any earlier launch or a newer timer
-    /// invalidates it by moving the stamp.
-    SimTime batch_timer_at = 0;
-    /// Generative mode only: the per-instance iteration-level batcher.
-    /// `queue`/`current_batch` stay empty; waiting and resident sequences
-    /// live here instead.
-    std::unique_ptr<batch::ContinuousBatcher> gen;
-  };
-
-  void HandleArrival(const Request& request);
-  void HandleArrivalAttempt(const Request& request, int attempt);
-  bool TryDispatch(const Request& request);
-  void MaybeStartNext(InstanceId id);
-  void GenMaybeStartNext(InstanceId id);
-  void ScheduleBatchTimer(InstanceId id, SimTime at);
-  void HandleCompletion(InstanceId id);
-  void HandleGenCompletion(InstanceId id);
-  void UpdateGenGauges();
-  void FinalizeRetirement(InstanceId id);
-  void RetryBuffered();
-  void ScheduleNextArrival();
-  void ScheduleTick();
-  void ScheduleSnapshot();
-  void UpdateClusterGauges();
-  void AccumulateGpuTime();
-  void ScheduleNextFailure();
-  void InjectFailure();
-  double CrashMtbfSeconds() const;
-  void SchedulePlanEvents();
-  void ApplyPlanEvent(const fault::FaultEvent& event);
-  /// Kills a live instance: scheme drop, drain + requeue, telemetry.
-  /// Returns false (no-op) if the instance is not currently serving.
-  bool CrashInstance(InstanceId victim);
-  void ApplyHang(InstanceId id, SimDuration duration);
-  void ApplySlowdown(InstanceId id, SimDuration duration, double factor);
-  void ScheduleHealthCheck();
-  void RunHealthCheck();
-  void ShedExpired();
-
-  const trace::Trace& trace_;
-  Scheme& scheme_;
-  EngineConfig config_;
-  std::unique_ptr<batch::BatchPolicy> owned_policy_;  ///< default greedy
-  const batch::BatchPolicy* policy_ = nullptr;
-
-  EventQueue events_;
-  // deque, NOT vector: scheme callbacks (OnComplete, OnInstanceFailure) may
-  // launch new instances while the engine holds a reference to an existing
-  // one; deque keeps references stable across push_back.
-  std::deque<Instance> instances_;
-  tenant::DispatchQueue buffer_;
-  std::vector<RequestRecord> records_;
-
-  std::size_t next_arrival_ = 0;
-  std::size_t completed_ = 0;
-
-  int active_count_ = 0;
-  int peak_count_ = 0;
-  int outstanding_ = 0;
-  double gpu_time_integral_ns_ = 0.0;
-  SimTime last_count_change_ = 0;
-  double busy_ns_total_ = 0.0;
-  std::uint64_t buffered_total_ = 0;
-  Rng fault_rng_{1};
-  int injected_failures_ = 0;
-  fault::HealthTracker health_;
-  std::uint64_t faults_total_ = 0;
-  std::uint64_t retries_total_ = 0;
-  std::uint64_t requeues_total_ = 0;
-  std::uint64_t sheds_total_ = 0;
-  std::uint64_t batches_formed_ = 0;
-  std::uint64_t batch_timeouts_ = 0;
-  std::uint64_t gen_prefill_iters_ = 0;
-  std::uint64_t gen_decode_iters_ = 0;
-  std::uint64_t gen_tokens_ = 0;
-  std::uint64_t gen_preemptions_ = 0;
-  std::vector<RequestRecord> shed_records_;
-};
-
-}  // namespace detail
 }  // namespace arlo::sim

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "baselines/scenario.h"
 #include "fault/fault_plan.h"
+#include "serving/live_testbed.h"
 #include "sim/engine.h"
 #include "trace/twitter.h"
 
@@ -172,6 +175,34 @@ TEST(Testbed, HangDetectionReapsAFrozenWorker) {
   ASSERT_EQ(result.records.size(), t.Size());
   EXPECT_EQ(result.injected_failures, 1);  // the reap
   EXPECT_GT(result.requeues, 0u);
+}
+
+// A hang freezes the whole worker, idle or not: work dispatched to it
+// during the window does not start before the window ends (the simulator's
+// semantics, shared through the executor core).
+TEST(Testbed, HungIdleWorkerStartsNothingUntilTheHangEnds) {
+  ScenarioConfig config;
+  config.gpus = 1;
+  auto scheme = MakeSchemeByName("st", config);
+  fault::FaultPlan plan;
+  plan.HangAt(Millis(20.0), 0, Millis(200.0));
+  TestbedConfig tb;
+  tb.time_scale = 0.5;
+  tb.fault_plan = &plan;
+  LiveTestbed testbed(*scheme, tb);
+  testbed.Start();
+  while (testbed.Now() < Millis(60.0)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Request r;
+  r.id = 0;
+  r.length = 64;
+  r.arrival = testbed.Now();
+  testbed.Submit(r);
+  const TestbedResult result = testbed.Finish();
+  ASSERT_EQ(result.records.size(), 1u);
+  EXPECT_GE(result.records[0].start, Millis(220.0));
+  EXPECT_EQ(result.faults_injected, 1u);
 }
 
 // §5.2.1 in miniature: simulator and testbed agree on mean latency for a
