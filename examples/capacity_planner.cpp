@@ -83,7 +83,8 @@ int main(int argc, char** argv) {
         solver::SolveAllocationExact(problem);
     std::string alloc;
     for (std::size_t i = 0; i < result.gpus_per_runtime.size(); ++i) {
-      alloc += (i ? "/" : "") + std::to_string(result.gpus_per_runtime[i]);
+      if (i > 0) alloc += '/';
+      alloc += std::to_string(result.gpus_per_runtime[i]);
     }
     double total_demand = 0.0;
     for (double q : demand) total_demand += q;

@@ -129,8 +129,7 @@ void PrintTelemetrySummary(const telemetry::TelemetrySink& sink) {
   if (n.connections_total->Value() > 0) {
     std::cout << "  net: connections " << n.connections_total->Value()
               << ", accepted " << n.accepted->Value() << ", rejected "
-              << n.rejected_rate->Value() + n.rejected_inflight->Value() +
-                     n.rejected_queue_full->Value()
+              << n.rejected_rate->Value() + n.rejected_inflight->Value()
               << ", deadline-shed " << n.shed_deadline->Value() << ", bytes "
               << n.bytes_in->Value() << " in / " << n.bytes_out->Value()
               << " out\n";

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: docs lint, configure, build, re-run the docs gate with the
+# Tier-1 gate: docs lint, configure, build (warnings are errors), re-run the docs gate with the
 # built binaries (every --flag named in a fenced doc block must be accepted
 # by its binary), run the full test suite, smoke the batching bench
 # (--json output must parse with finite p98), smoke the admin plane
@@ -46,8 +46,8 @@ done
 echo "== docs =="
 scripts/check_docs.sh
 
-echo "== configure + build =="
-cmake -B build -S . >/dev/null
+echo "== configure + build (warnings are errors) =="
+cmake -B build -S . -DARLO_WERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
 
 echo "== docs (flags vs built binaries) =="
@@ -420,7 +420,7 @@ if [[ "$run_tsan" == 1 ]]; then
   # halt_on_error so a reported race fails the gate rather than scrolling by.
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/arlo_tests \
-    --gtest_filter='Testbed.*:TestbedBatching.*:GenerativeTestbed.*:TelemetryConcurrency.*:TelemetrySinkTest.*:NetLoopback.*:NetClient.*:ObsAdmin*:ObsFlightRecorder.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*:ExecutorDifferential.*'
+    --gtest_filter='Testbed.*:TestbedBatching.*:GenerativeTestbed.*:TelemetryConcurrency.*:TelemetrySinkTest.*:NetLoopback.*:NetWakePipe.*:NetClient.*:ObsAdmin*:ObsFlightRecorder.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*:ExecutorDifferential.*'
 fi
 
 if [[ "$run_asan" == 1 ]]; then
@@ -428,7 +428,7 @@ if [[ "$run_asan" == 1 ]]; then
   cmake -B build-asan -S . -DARLO_ASAN=ON >/dev/null
   cmake --build build-asan -j "$(nproc)" --target arlo_tests
   ./build-asan/tests/arlo_tests \
-    --gtest_filter='NetProtocol*:NetClient.*:Admission.*:NetLoopback.*:TestbedBatching.*:GenerativeTestbed.*:ObsAdmin*:ObsHttp.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*:Engine.*:EngineBatching.*:FaultInjection.*:FaultPlanSim.*:GenerativeEngine.*:Testbed.*:ExecutorGolden.*:ExecutorDifferential.*'
+    --gtest_filter='NetProtocol*:NetClient.*:Admission.*:NetLoopback.*:NetWakePipe.*:TestbedBatching.*:GenerativeTestbed.*:ObsAdmin*:ObsHttp.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*:Engine.*:EngineBatching.*:FaultInjection.*:FaultPlanSim.*:GenerativeEngine.*:Testbed.*:ExecutorGolden.*:ExecutorDifferential.*'
 fi
 
 echo "== check.sh: all green =="

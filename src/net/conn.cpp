@@ -43,7 +43,7 @@ ssize_t FlushConn(Poller& poller, Conn& conn) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       if (!conn.want_write) {
         conn.want_write = true;
-        poller.Modify(fd, /*want_read=*/true, /*want_write=*/true);
+        poller.Modify(fd, conn.want_read, /*want_write=*/true);
       }
       return written;
     }
@@ -54,7 +54,7 @@ ssize_t FlushConn(Poller& poller, Conn& conn) {
   conn.out_off = 0;
   if (conn.want_write) {
     conn.want_write = false;
-    poller.Modify(fd, /*want_read=*/true, /*want_write=*/false);
+    poller.Modify(fd, conn.want_read, /*want_write=*/false);
   }
   return written;
 }
@@ -71,6 +71,8 @@ WakePipe::WakePipe() {
 }
 
 void WakePipe::Wake() {
+  // acq_rel: the exchange Drain() reads publishes the waker's state change.
+  if (pending_.exchange(true, std::memory_order_acq_rel)) return;
   const char byte = 'w';
   // EAGAIN (pipe full) is fine: a wake-up is already pending.
   (void)::write(write_.Get(), &byte, 1);
@@ -80,6 +82,7 @@ void WakePipe::Drain() {
   char buf[256];
   while (::read(read_.Get(), buf, sizeof(buf)) > 0) {
   }
+  pending_.exchange(false, std::memory_order_acq_rel);
 }
 
 }  // namespace arlo::net

@@ -12,6 +12,7 @@
 
 #include <sys/types.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -29,6 +30,7 @@ struct Conn {
   std::vector<std::uint8_t> out;  ///< encoded frames not yet written
   std::size_t out_off = 0;        ///< prefix of `out` already written
   bool want_write = false;        ///< registered for writability
+  bool want_read = true;          ///< registered for readability
 };
 
 /// Accepts one pending connection on a non-blocking listen socket and makes
@@ -50,17 +52,29 @@ ssize_t FlushConn(Poller& poller, Conn& conn);
 
 /// A non-blocking self-pipe: Wake() from any thread makes ReadFd() readable
 /// until the loop calls Drain().
+///
+/// Wakes coalesce: an atomic pending flag lets only the Wake() that sets it
+/// write a byte, so a burst of wakes between two loop passes costs one
+/// write(2) and one readable event.  The loop must Drain() before it looks
+/// at the state the wakes announce (mailbox, completion list): a Wake() that
+/// lands after Drain() cleared the flag writes a fresh byte, and one that
+/// lands before sees its state change picked up by that look.
 class WakePipe {
  public:
   WakePipe();  ///< throws std::system_error when the pipe cannot open
 
   int ReadFd() const { return read_.Get(); }
   void Wake();
+  /// Reads the pipe empty, then clears the pending flag — in that order:
+  /// clearing first would let a byte written after the clear be read here,
+  /// leaving the flag set with nothing in the pipe, and every later Wake()
+  /// would be swallowed.
   void Drain();
 
  private:
   ScopedFd read_;
   ScopedFd write_;
+  std::atomic<bool> pending_{false};
 };
 
 }  // namespace arlo::net

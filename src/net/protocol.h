@@ -80,7 +80,8 @@ enum class MsgType : std::uint8_t {
 /// overload tests) can tell backpressure sources apart.
 enum class ReplyStatus : std::uint8_t {
   kOk = 0,
-  kRejectQueueFull = 1,  ///< submission queue to the dispatcher was full
+  kRejectQueueFull = 1,  ///< reserved: the retired submission-queue-full
+                         ///< reject; no longer sent, still decodes
   kRejectInflight = 2,   ///< admission: inflight cap reached
   kRejectRate = 3,       ///< admission: token bucket empty
   kShedDeadline = 4,     ///< admission: estimated delay exceeds the deadline

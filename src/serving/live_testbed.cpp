@@ -84,7 +84,7 @@ struct LiveTestbed::Impl final : public sim::ExecutorHost {
   }
 
   void Start();
-  void Submit(const Request& request, CompletionFn done);
+  void Submit(Submission* batch, std::size_t n);
   bool ApplyAllocation(const std::vector<int>& allocation);
   TestbedHealth Health();
   void WriteStatusJson(std::ostream& os);
@@ -104,7 +104,7 @@ struct LiveTestbed::Impl final : public sim::ExecutorHost {
   // rest with dispatch_mu_ held.
   SimTime Now() const override { return WallToSim(Clock::now()); }
   void OnLaunched(InstanceId id, SimDuration ready_delay) override;
-  void Wake(InstanceId id) override { workers_[id].cv.notify_one(); }
+  void Wake(InstanceId id) override;
   void At(SimTime at, std::function<void()> fn) override;
   void OnServed(const RequestRecord& record, int batch) override;
 
@@ -184,6 +184,11 @@ struct LiveTestbed::Impl final : public sim::ExecutorHost {
   std::priority_queue<Timer, std::vector<Timer>, Later> timers_;
   std::uint64_t timer_seq_ = 0;
   std::condition_variable timer_cv_;  ///< waits on dispatch_mu_
+  /// Set while Submit holds the lock: Wake records the worker's cv here
+  /// (once per worker) instead of notifying it, and Submit notifies after
+  /// the unlock.  The cv pointers stay valid unlocked because workers_ never
+  /// moves its elements.
+  std::vector<std::condition_variable*>* deferred_wakes_ = nullptr;
   std::atomic<bool> stopping_{false};
 
   // Relaxed mirrors, so frontend/admission threads can estimate load
@@ -208,6 +213,18 @@ void LiveTestbed::Impl::OnLaunched(InstanceId id, SimDuration ready_delay) {
   w.thread = std::thread([this, id, &w, ready_delay] {
     WorkerLoop(id, w, ready_delay);
   });
+}
+
+void LiveTestbed::Impl::Wake(InstanceId id) {
+  std::condition_variable& cv = workers_[id].cv;
+  if (deferred_wakes_ == nullptr) {
+    cv.notify_one();
+    return;
+  }
+  if (std::find(deferred_wakes_->begin(), deferred_wakes_->end(), &cv) ==
+      deferred_wakes_->end()) {
+    deferred_wakes_->push_back(&cv);
+  }
 }
 
 void LiveTestbed::Impl::At(SimTime at, std::function<void()> fn) {
@@ -349,21 +366,36 @@ void LiveTestbed::Impl::Start() {
   }
 }
 
-void LiveTestbed::Impl::Submit(const Request& request, CompletionFn done) {
-  submitted_rel_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard global(dispatch_mu_);
-  if (!mix_counts_.empty()) {
-    // First bin whose upper bound covers the length; overflow lands in the
-    // last bin so the histogram total always matches `submitted`.
-    std::size_t bin = 0;
-    while (bin + 1 < mix_counts_.size() &&
-           request.length > config_.mix_bounds[bin]) {
-      ++bin;
+void LiveTestbed::Impl::Submit(Submission* batch, std::size_t n) {
+  submitted_rel_.fetch_add(static_cast<std::int64_t>(n),
+                           std::memory_order_relaxed);
+  std::vector<std::condition_variable*> woken;
+  {
+    std::lock_guard global(dispatch_mu_);
+    deferred_wakes_ = &woken;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Request& request = batch[i].request;
+      if (!mix_counts_.empty()) {
+        // First bin whose upper bound covers the length; overflow lands in
+        // the last bin so the histogram total always matches `submitted`.
+        std::size_t bin = 0;
+        while (bin + 1 < mix_counts_.size() &&
+               request.length > config_.mix_bounds[bin]) {
+          ++bin;
+        }
+        ++mix_counts_[bin];
+      }
+      if (batch[i].done) {
+        callbacks_.emplace(request.id, std::move(batch[i].done));
+      }
+      core_.Arrive(request);
     }
-    ++mix_counts_[bin];
+    deferred_wakes_ = nullptr;
   }
-  if (done) callbacks_.emplace(request.id, std::move(done));
-  core_.Arrive(request);
+  // The arrivals are visible under the lock, so a worker that wakes (or
+  // checks before waiting) finds them; notifying unlocked just spares it a
+  // block on dispatch_mu_.
+  for (std::condition_variable* cv : woken) cv->notify_one();
 }
 
 bool LiveTestbed::Impl::ApplyAllocation(const std::vector<int>& allocation) {
@@ -545,7 +577,13 @@ SimTime LiveTestbed::Now() const { return impl_->Now(); }
 const TestbedConfig& LiveTestbed::Config() const { return impl_->Config(); }
 
 void LiveTestbed::Submit(const Request& request, CompletionFn done) {
-  impl_->Submit(request, std::move(done));
+  Submission one{request, std::move(done)};
+  impl_->Submit(&one, 1);
+}
+
+void LiveTestbed::SubmitAll(std::vector<Submission>& batch) {
+  impl_->Submit(batch.data(), batch.size());
+  batch.clear();
 }
 
 bool LiveTestbed::ApplyAllocation(const std::vector<int>& allocation) {

@@ -4,9 +4,10 @@
 // requests at wall-clock time and observe completions through callbacks.
 //
 // Lifecycle: Start() deploys the scheme and spawns the ticker / telemetry
-// snapshotter / fault timer; Submit() hands a request to the dispatcher
-// (thread-safe, any producer thread); Finish() waits for every submitted
-// request to complete, stops the machinery, and returns the records.
+// snapshotter / fault timer; Submit() / SubmitAll() hand requests to the
+// dispatcher (thread-safe, any producer thread); Finish() waits for every
+// submitted request to complete, stops the machinery, and returns the
+// records.
 //
 // Completion callbacks run on the worker thread that finished the request,
 // with the dispatch mutex held: they must be fast, must not block, and must
@@ -38,6 +39,12 @@ class LiveTestbed {
  public:
   using CompletionFn = std::function<void(const RequestRecord&)>;
 
+  /// One request and its completion callback, as SubmitAll takes them.
+  struct Submission {
+    Request request;
+    CompletionFn done;
+  };
+
   LiveTestbed(sim::Scheme& scheme, const TestbedConfig& config = {});
   /// Calls Finish() if the caller has not (discarding the result).
   ~LiveTestbed();
@@ -63,6 +70,15 @@ class LiveTestbed {
   /// the request completes (requeues and retries notwithstanding: the
   /// testbed never drops a submitted request).
   void Submit(const Request& request, CompletionFn done = nullptr);
+
+  /// Submits a batch, in order, under one acquisition of the dispatch lock;
+  /// each element behaves exactly as Submit(request, done) would.  The
+  /// worker threads the batch hands work to are notified once each, after
+  /// the lock is released, so a woken worker never blocks on the submitter.
+  /// The net server's event loop calls this once per loop pass with every
+  /// request the pass admitted.  Consumes `batch`: the callbacks are moved
+  /// out and the vector is left empty with its capacity kept for reuse.
+  void SubmitAll(std::vector<Submission>& batch);
 
   /// Requests currently in the system (submitted, not yet completed).
   int Outstanding() const;

@@ -78,9 +78,6 @@ TelemetrySink::TelemetrySink(TelemetryConfig config)
   net_.rejected_inflight = registry_.GetCounter(
       "arlo_net_rejected_inflight_total",
       "SubmitRequests rejected at the inflight cap");
-  net_.rejected_queue_full = registry_.GetCounter(
-      "arlo_net_rejected_queue_full_total",
-      "SubmitRequests rejected because the submission queue was full");
   net_.shed_deadline = registry_.GetCounter(
       "arlo_net_shed_deadline_total",
       "SubmitRequests early-shed: estimated delay exceeded the deadline");
@@ -497,7 +494,8 @@ void TelemetrySink::RecordNetAccepted(const Request& request, SimTime now) {
 void TelemetrySink::RecordNetRejected(const Request& request, SimTime now,
                                       const char* reason) {
   // TraceArg values are numeric, so the reason rides along as a code:
-  // 1=rate, 2=inflight, 3=queue-full, 4=deadline, 5=class-overload.
+  // 1=rate, 2=inflight, 4=deadline, 5=class-overload (3 was the retired
+  // submission-queue-full reject).
   const std::string_view r(reason);
   std::int64_t code = 0;
   if (r == "rate") {
@@ -506,9 +504,6 @@ void TelemetrySink::RecordNetRejected(const Request& request, SimTime now,
   } else if (r == "inflight") {
     net_.rejected_inflight->Add();
     code = 2;
-  } else if (r == "queue-full") {
-    net_.rejected_queue_full->Add();
-    code = 3;
   } else if (r == "deadline") {
     net_.shed_deadline->Add();
     code = 4;

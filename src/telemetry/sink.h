@@ -79,14 +79,13 @@ struct NetMetrics {
   Counter* accepted = nullptr;
   Counter* rejected_rate = nullptr;
   Counter* rejected_inflight = nullptr;
-  Counter* rejected_queue_full = nullptr;
   Counter* shed_deadline = nullptr;
   Counter* shed_class = nullptr;  ///< class-overload sheds (docs/TENANTS.md)
   Counter* bytes_in = nullptr;
   Counter* bytes_out = nullptr;
   Gauge* open_connections = nullptr;
   /// Wall-clock ns a request spent in the frontend beyond its (scaled)
-  /// modeled backend latency: socket I/O + framing + queue hops.
+  /// modeled backend latency: socket I/O, framing, the dispatch lock.
   LatencyHistogram* frontend_overhead_ns = nullptr;
 };
 
@@ -250,12 +249,12 @@ class TelemetrySink {
   void RecordNetConnOpened(SimTime now, std::int64_t open_connections);
   void RecordNetConnClosed(SimTime now, std::int64_t open_connections);
   void RecordNetBytes(std::uint64_t bytes_in, std::uint64_t bytes_out);
-  /// A SubmitRequest passed admission and entered the submission queue.
+  /// A SubmitRequest passed admission and is handed to the dispatcher.
   void RecordNetAccepted(const Request& request, SimTime now);
   /// A SubmitRequest was rejected; `reason` is one of "rate", "inflight",
-  /// "queue-full", "deadline", "class-overload".  Deadline sheds and class
-  /// sheds additionally flow through RecordShed so the fault-layer shed
-  /// accounting covers the frontend.
+  /// "deadline", "class-overload".  Deadline sheds and class sheds
+  /// additionally flow through RecordShed so the fault-layer shed accounting
+  /// covers the frontend.
   void RecordNetRejected(const Request& request, SimTime now,
                          const char* reason);
   void RecordNetFrontendOverhead(std::int64_t wall_ns);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baselines/scenario.h"
 #include "sim/engine.h"
 #include "trace/twitter.h"
@@ -107,8 +109,9 @@ TEST(CompositeScheme, PerStreamAutoscalersBreatheIndependently) {
     config.autoscaler.min_samples = 10;
     config.autoscaler.latency_window = Seconds(4.0);
     config.autoscaler.scale_out_cooldown = Seconds(1.0);
-    composite.AddStream("s" + std::to_string(k),
-                        baselines::MakeSchemeByName("arlo", config));
+    std::string name = "s";
+    name += std::to_string(k);
+    composite.AddStream(name, baselines::MakeSchemeByName("arlo", config));
   }
 
   const sim::EngineResult result = sim::RunScenario(merged, composite);

@@ -5,18 +5,24 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "baselines/scenario.h"
 #include "net/client.h"
+#include "net/conn.h"
 #include "net/server.h"
 #include "telemetry/sink.h"
 #include "trace/twitter.h"
@@ -299,9 +305,7 @@ TEST(NetLoopback, BatchedRepliesSurvivePartialWrites) {
   testbed.Start();
 
   constexpr int kRequests = 8000;  // ~312 KB of replies
-  ServerConfig sc;
-  sc.submit_queue_capacity = kRequests;
-  Server server(testbed, sc);
+  Server server(testbed, ServerConfig{});
   server.Start();
 
   ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
@@ -417,6 +421,163 @@ TEST(NetLoopback, FourTimesOverloadStaysResponsive) {
   EXPECT_EQ(stats.accepted + stats.TotalRejected(), result.sent);
   EXPECT_GT(stats.TotalRejected(), 0u);
   (void)testbed.Finish();
+}
+
+// Stop stops reading: a peer that never pauses cannot hold the graceful
+// drain open, and every request decoded before it is answered.  Requests
+// take ~6 ms here, so a loop that kept admitting while draining would never
+// see its pending table empty.
+TEST(NetLoopback, StopReturnsWhileAPeerKeepsSending) {
+  ScenarioConfig config;
+  config.gpus = 2;
+  auto scheme = MakeSchemeByName("st", config);
+  serving::LiveTestbed testbed(*scheme, serving::TestbedConfig{});
+  testbed.Start();
+  ServerConfig sc;
+  sc.admission.max_inflight = 4;  // the flood is rejected, not backlogged
+  Server server(testbed, sc);
+  server.Start();
+
+  ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(fd.Valid());
+  const timeval timeout{0, 50000};  // lets both client threads see `done`
+  ASSERT_EQ(::setsockopt(fd.Get(), SOL_SOCKET, SO_SNDTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  ASSERT_EQ(::setsockopt(fd.Get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.Port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd.Get(), reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  // Bounded, so a Stop that never returns fails the test instead of hanging
+  // it.
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(10);
+  std::atomic<bool> done{false};
+  const auto running = [&] {
+    return !done.load() && std::chrono::steady_clock::now() < give_up;
+  };
+  const auto retry = [] {
+    return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+  };
+  std::thread sender([&] {
+    std::vector<std::uint8_t> frames;
+    for (int i = 0; i < 64; ++i) {
+      SubmitRequest msg;
+      msg.id = static_cast<std::uint64_t>(i);
+      msg.length = 64;
+      EncodeSubmit(msg, frames);
+    }
+    std::size_t off = 0;  // partial sends keep the frame stream aligned
+    while (running()) {
+      const ssize_t n = ::send(fd.Get(), frames.data() + off,
+                               frames.size() - off, MSG_NOSIGNAL);
+      if (n > 0) {
+        off = (off + static_cast<std::size_t>(n)) % frames.size();
+      } else if (!retry()) {
+        return;  // the server closed the connection
+      }
+    }
+  });
+  std::thread reader([&] {  // replies are read and dropped
+    std::uint8_t buf[65536];
+    while (running()) {
+      const ssize_t n = ::recv(fd.Get(), buf, sizeof(buf), 0);
+      if (n == 0 || (n < 0 && !retry())) return;
+    }
+  });
+  while (server.Stats().accepted < 8 && running()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto stop_begin = std::chrono::steady_clock::now();
+  server.Stop();
+  const auto stop_took = std::chrono::steady_clock::now() - stop_begin;
+  done.store(true);
+  sender.join();
+  reader.join();
+
+  EXPECT_LT(stop_took, std::chrono::seconds(5));
+  const ServerStats stats = server.Stats();
+  EXPECT_GE(stats.accepted, 8u);
+  EXPECT_GT(stats.TotalRejected(), 0u);
+  EXPECT_EQ(stats.accepted + stats.TotalRejected(),
+            stats.replies_sent + stats.replies_dropped);
+  (void)testbed.Finish();
+}
+
+bool PipeReadable(const WakePipe& wake, int timeout_ms) {
+  pollfd pfd{wake.ReadFd(), POLLIN, 0};
+  return ::poll(&pfd, 1, timeout_ms) == 1;
+}
+
+// WakePipe coalesces wakes behind an atomic flag, so a wake lost between the
+// flag and the pipe would leave an event loop asleep with work outstanding.
+// Four producers race one consumer that follows the loops' order: poll,
+// Drain, then take the items.
+TEST(NetWakePipe, ConcurrentWakesAreNeverLost) {
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 20000;
+  constexpr int kTotal = kProducers * kPerProducer;
+  WakePipe wake;
+  std::mutex mu;
+  std::vector<int> items;
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        {
+          std::lock_guard lock(mu);
+          items.push_back(p * kPerProducer + i);
+        }
+        wake.Wake();
+      }
+    });
+  }
+  std::vector<int> seen(kTotal, 0);
+  std::vector<int> taken;
+  int received = 0;
+  bool timed_out = false;
+  while (received < kTotal) {
+    if (!PipeReadable(wake, /*timeout_ms=*/1000)) {
+      timed_out = true;  // a wake was lost: items wait with no byte
+      break;
+    }
+    wake.Drain();
+    {
+      std::lock_guard lock(mu);
+      taken.swap(items);
+    }
+    for (int item : taken) ++seen[static_cast<std::size_t>(item)];
+    received += static_cast<int>(taken.size());
+    taken.clear();
+  }
+  for (std::thread& t : producers) t.join();
+  ASSERT_FALSE(timed_out) << kTotal - received << " items outstanding";
+  EXPECT_EQ(received, kTotal);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), kTotal);
+}
+
+TEST(NetWakePipe, WakeAfterDrainRearms) {
+  WakePipe wake;
+  EXPECT_FALSE(PipeReadable(wake, 0));
+  wake.Wake();
+  wake.Wake();  // coalesced: the first wake is still pending
+  int queued = 0;
+  ASSERT_EQ(::ioctl(wake.ReadFd(), FIONREAD, &queued), 0);
+  EXPECT_EQ(queued, 1);
+  EXPECT_TRUE(PipeReadable(wake, 0));
+  wake.Drain();
+  EXPECT_FALSE(PipeReadable(wake, 0));
+  wake.Wake();
+  EXPECT_TRUE(PipeReadable(wake, 0));
+  wake.Drain();
+  EXPECT_FALSE(PipeReadable(wake, 0));
 }
 
 }  // namespace

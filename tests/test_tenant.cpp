@@ -98,7 +98,9 @@ TEST(TenantClassTable, EightClassesFitNineDoNot) {
   std::string spec;
   for (int i = 0; i < 8; ++i) {
     if (i > 0) spec += ',';
-    spec += "c" + std::to_string(i) + ":w1:slo10";
+    spec += 'c';
+    spec += std::to_string(i);
+    spec += ":w1:slo10";
   }
   EXPECT_EQ(TenantClassTable::Parse(spec).Size(), 8);
   const std::string nine = spec + ",c8:w1:slo10";

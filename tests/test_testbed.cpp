@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -203,6 +204,46 @@ TEST(Testbed, HungIdleWorkerStartsNothingUntilTheHangEnds) {
   ASSERT_EQ(result.records.size(), 1u);
   EXPECT_GE(result.records[0].start, Millis(220.0));
   EXPECT_EQ(result.faults_injected, 1u);
+}
+
+// One SubmitAll call carries a whole batch under one lock acquisition; each
+// element must behave exactly as its own Submit would.
+TEST(Testbed, SubmitAllServesEveryRequestOnce) {
+  ScenarioConfig config;
+  config.gpus = 2;
+  auto scheme = MakeSchemeByName("st", config);
+  TestbedConfig tb;
+  tb.time_scale = 1e-3;
+  LiveTestbed testbed(*scheme, tb);
+  testbed.Start();
+
+  constexpr int kBatch = 64;
+  std::vector<std::atomic<int>> fired(kBatch);
+  std::vector<LiveTestbed::Submission> batch;
+  for (int i = 0; i < kBatch; ++i) {
+    Request r;
+    r.id = static_cast<RequestId>(i);
+    r.length = 16 + 8 * (i % 16);
+    r.arrival = testbed.Now();
+    batch.push_back({r, [&fired, i](const RequestRecord& record) {
+                       EXPECT_EQ(record.id, static_cast<RequestId>(i));
+                       fired[static_cast<std::size_t>(i)].fetch_add(1);
+                     }});
+  }
+  testbed.SubmitAll(batch);
+  EXPECT_TRUE(batch.empty());  // consumed, ready for the next pass
+
+  testbed.Drain();
+  EXPECT_EQ(testbed.Outstanding(), 0);
+  const TestbedResult result = testbed.Finish();
+  ASSERT_EQ(result.records.size(), static_cast<std::size_t>(kBatch));
+  std::vector<RequestId> ids;
+  for (const RequestRecord& r : result.records) ids.push_back(r.id);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
+  for (int i = 0; i < kBatch; ++i) {
+    EXPECT_EQ(fired[static_cast<std::size_t>(i)].load(), 1) << "request " << i;
+  }
 }
 
 // §5.2.1 in miniature: simulator and testbed agree on mean latency for a
