@@ -23,8 +23,10 @@
 # plane + cluster router + cross-hop tracing + the sim-vs-testbed
 # differential) under ThreadSanitizer, and the socket/protocol +
 # testbed-batching + admin-plane + cluster-policy + tracing + executor
-# (engine, faults, generative, testbed, golden, differential) tests under
-# Address+UBSanitizer.
+# (engine, faults, generative, testbed, golden, differential) + scheme
+# (Arlo, baselines, scheme golden) + core (queue, schedulers, replacement,
+# autoscaler) + solver tests under Address+UBSanitizer.  Both sanitizer
+# builds treat warnings as errors, like the main build.
 #
 #   scripts/check.sh            # full gate
 #   scripts/check.sh --no-tsan  # skip the TSan stage (fast local loop)
@@ -415,7 +417,7 @@ EOF
 
 if [[ "$run_tsan" == 1 ]]; then
   echo "== ThreadSanitizer (testbed + telemetry concurrency) =="
-  cmake -B build-tsan -S . -DARLO_TSAN=ON >/dev/null
+  cmake -B build-tsan -S . -DARLO_TSAN=ON -DARLO_WERROR=ON >/dev/null
   cmake --build build-tsan -j "$(nproc)" --target arlo_tests
   # halt_on_error so a reported race fails the gate rather than scrolling by.
   TSAN_OPTIONS="halt_on_error=1" \
@@ -424,11 +426,11 @@ if [[ "$run_tsan" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== Address+UBSanitizer (net, router, executor core on both substrates) =="
-  cmake -B build-asan -S . -DARLO_ASAN=ON >/dev/null
+  echo "== Address+UBSanitizer (net, router, executor core, schemes, solver) =="
+  cmake -B build-asan -S . -DARLO_ASAN=ON -DARLO_WERROR=ON >/dev/null
   cmake --build build-asan -j "$(nproc)" --target arlo_tests
   ./build-asan/tests/arlo_tests \
-    --gtest_filter='NetProtocol*:NetClient.*:Admission.*:NetLoopback.*:NetWakePipe.*:TestbedBatching.*:GenerativeTestbed.*:ObsAdmin*:ObsHttp.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*:Engine.*:EngineBatching.*:FaultInjection.*:FaultPlanSim.*:GenerativeEngine.*:Testbed.*:ExecutorGolden.*:ExecutorDifferential.*'
+    --gtest_filter='NetProtocol*:NetClient.*:Admission.*:NetLoopback.*:NetWakePipe.*:TestbedBatching.*:GenerativeTestbed.*:ObsAdmin*:ObsHttp.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*:Engine.*:EngineBatching.*:FaultInjection.*:FaultPlanSim.*:GenerativeEngine.*:Testbed.*:ExecutorGolden.*:ExecutorDifferential.*:ArloScheme.*:MakeSchemeByName.*:DemandFromTrace.*:StScheme.*:DtScheme.*:UniformScheme.*:InfaasScheme.*:Schemes.*:CompositeScheme.*:SchemeGolden.*:MultiLevelQueue.*:RequestScheduler.*:PlanReplacement.*:Autoscaler.*:DistributionTracker.*:SolveAllocation*:SolveIlp.*:SolveLp.*'
 fi
 
 echo "== check.sh: all green =="

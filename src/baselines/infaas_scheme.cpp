@@ -8,7 +8,7 @@ namespace arlo::baselines {
 
 InfaasScheme::InfaasScheme(
     std::shared_ptr<const runtime::RuntimeSet> runtimes, InfaasConfig config)
-    : SchemeBase(runtimes, config.base),
+    : SchemeBase(runtimes, config.base, config.base.slo),
       config_(config),
       tracker_(runtimes->LargestMaxLength(), /*decay=*/0.5) {
   ARLO_CHECK(config_.period > 0);
@@ -21,12 +21,12 @@ std::vector<int> InfaasScheme::InitialAllocation() const {
     for (std::size_t i = 0; i < work.size(); ++i) {
       work[i] *= static_cast<double>(Profiles()[i].compute_time);
     }
-    return CountProportional(Config().initial_gpus, work);
+    return CountProportional(config_.base.initial_gpus, work);
   }
   // Cold start: everything on the universal (largest) variant, like Arlo's
   // bootstrap — INFaaS, too, knows nothing before observing traffic.
   std::vector<int> alloc(Runtimes().Size(), 0);
-  alloc.back() = Config().initial_gpus;
+  alloc.back() = config_.base.initial_gpus;
   return alloc;
 }
 
@@ -100,30 +100,18 @@ std::vector<int> InfaasScheme::CountProportional(
   return alloc;
 }
 
-void InfaasScheme::OnPeriodic(SimTime now, sim::ClusterOps& cluster) {
-  auto run_one_batch = [&] {
-    if (pending_batches_.empty()) return;
-    std::vector<core::ReplacementStep> batch =
-        std::move(pending_batches_.front());
-    pending_batches_.pop_front();
-    for (const auto& step : batch) {
-      if (!ReadyInstances().count(step.instance)) continue;
-      RetireOne(cluster, step.instance);
-      LaunchOne(cluster, step.to, Config().replace_delay);
-    }
-  };
-  run_one_batch();
-
+void InfaasScheme::OnTick(SimTime now, sim::ClusterOps& cluster) {
+  SchemeBase::OnTick(now, cluster);
+  RollOutNextBatch(cluster);
   if (now < next_period_) return;
   next_period_ = now + config_.period;
   tracker_.RollPeriod(ToSeconds(config_.period));
   // Defer only while a previous plan is rolling out; additive scale-out
   // launches do not conflict with variant rebalancing.
-  if (!pending_batches_.empty()) return;
-  if (ReadyInstances().empty()) return;
+  if (RollingOut() || ReadyInstances().empty()) return;
 
   std::vector<double> counts = tracker_.DemandPerSlo(
-      Runtimes().BinUpperBounds(), ToSeconds(Config().slo));
+      Runtimes().BinUpperBounds(), ToSeconds(config_.base.slo));
   double total = 0.0;
   for (double c : counts) total += c;
   if (total <= 0.0) return;  // nothing observed yet
@@ -137,12 +125,9 @@ void InfaasScheme::OnPeriodic(SimTime now, sim::ClusterOps& cluster) {
 
   const int gpus = static_cast<int>(ReadyInstances().size());
   const std::vector<int> target = CountProportional(gpus, counts);
-  core::ReplacementPlan plan = core::PlanReplacement(
-      SnapshotDeployment(), target, config_.replacement_batch_size);
-  for (auto& batch : plan.batches) {
-    pending_batches_.push_back(std::move(batch));
-  }
-  run_one_batch();  // start rolling out immediately
+  Enqueue(core::PlanReplacement(SnapshotDeployment(), target,
+                                config_.replacement_batch_size));
+  RollOutNextBatch(cluster);  // start rolling out immediately
 }
 
 std::unique_ptr<InfaasScheme> MakeInfaasScheme(

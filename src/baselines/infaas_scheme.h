@@ -3,13 +3,14 @@
 // only — load-driven vertical scaling, blind to the latency/padding cost of
 // each length bin — and (b) dispatch is bin-packing: pack a request onto the
 // most-loaded candidate instance that still has SLO headroom, without
-// Arlo's congestion-threshold demotion logic.
+// Arlo's congestion-threshold demotion logic.  The instance lifecycle, the
+// Eq. 7 guard, autoscaling and the replacement rollout are
+// core::SchemeBase's; INFaaS only decides its re-allocation plans.
 #pragma once
 
 #include <algorithm>
-#include <deque>
 
-#include "baselines/scheme_base.h"
+#include "baselines/uniform_scheme.h"
 #include "core/distribution_tracker.h"
 
 namespace arlo::baselines {
@@ -33,7 +34,7 @@ struct InfaasConfig {
   int pack_limit = 2;
 };
 
-class InfaasScheme final : public SchemeBase {
+class InfaasScheme final : public core::SchemeBase {
  public:
   InfaasScheme(std::shared_ptr<const runtime::RuntimeSet> runtimes,
                InfaasConfig config);
@@ -41,16 +42,17 @@ class InfaasScheme final : public SchemeBase {
   std::string Name() const override { return "infaas"; }
   InstanceId SelectInstance(const Request& request,
                             sim::ClusterOps& cluster) override;
+  /// The base's tick (Eq. 7 guard, autoscaling), one rollout batch, then
+  /// the periodic count-proportional re-allocation.
+  void OnTick(SimTime now, sim::ClusterOps& cluster) override;
   SimDuration TickInterval() const override {
     return std::min(config_.period, Seconds(5.0));
   }
 
- protected:
+ private:
   std::vector<int> InitialAllocation() const override;
-  void OnPeriodic(SimTime now, sim::ClusterOps& cluster) override;
   void ObserveDispatch(int length) override;
 
- private:
   /// Count-proportional allocation (no compute weighting, no ILP).
   std::vector<int> CountProportional(int gpus,
                                      const std::vector<double>& counts) const;
@@ -58,7 +60,6 @@ class InfaasScheme final : public SchemeBase {
   InfaasConfig config_;
   core::DistributionTracker tracker_;
   SimTime next_period_ = 0;
-  std::deque<std::vector<core::ReplacementStep>> pending_batches_;
 };
 
 /// Builds INFaaS over the same polymorphed runtime set Arlo uses.

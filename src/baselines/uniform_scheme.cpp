@@ -7,13 +7,14 @@ namespace arlo::baselines {
 UniformScheme::UniformScheme(
     std::string name, std::shared_ptr<const runtime::RuntimeSet> runtimes,
     BaselineConfig config)
-    : SchemeBase(std::move(runtimes), config), name_(std::move(name)) {
+    : SchemeBase(std::move(runtimes), config, config.slo),
+      name_(std::move(name)) {
   ARLO_CHECK_MSG(Runtimes().Size() == 1,
                  "UniformScheme requires a single-runtime set");
 }
 
 std::vector<int> UniformScheme::InitialAllocation() const {
-  return {Config().initial_gpus};
+  return {Fleet().initial_gpus};
 }
 
 InstanceId UniformScheme::SelectInstance(const Request& request,

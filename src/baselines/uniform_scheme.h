@@ -3,15 +3,25 @@
 // ST: a single statically-compiled runtime at the unified maximum length —
 // every request is zero-padded to max_length.  DT: a single dynamically-
 // compiled runtime — no padding, but dynamic-shape latency inflation.
-// Both use plain load balancing for dispatch (their runtimes are uniform)
-// and optionally the headroom auto-scaler.
+// Both use plain load balancing for dispatch (their runtimes are uniform);
+// the instance lifecycle and the optional headroom auto-scaler are
+// core::SchemeBase's, shared with Arlo and INFaaS.
 #pragma once
 
-#include "baselines/scheme_base.h"
+#include <memory>
+#include <string>
+
+#include "core/scheme_base.h"
 
 namespace arlo::baselines {
 
-class UniformScheme final : public SchemeBase {
+/// The baselines' config: the shared fleet knobs plus the SLO their
+/// profiles and auto-scaler target (INFaaS embeds it in InfaasConfig).
+struct BaselineConfig : core::FleetConfig {
+  SimDuration slo = Millis(150.0);
+};
+
+class UniformScheme final : public core::SchemeBase {
  public:
   /// `runtimes` must contain exactly one runtime (see MakeSingleStaticSet /
   /// MakeSingleDynamicSet); `name` is typically "st" or "dt".

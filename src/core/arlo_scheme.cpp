@@ -9,40 +9,14 @@
 #include "telemetry/sink.h"
 
 namespace arlo::core {
-namespace {
-
-std::vector<runtime::RuntimeProfile> MakeProfiles(
-    const runtime::RuntimeSet& set, SimDuration slo, SimDuration overhead,
-    int max_batch) {
-  std::vector<runtime::RuntimeProfile> profiles;
-  profiles.reserve(set.Size());
-  for (std::size_t i = 0; i < set.Size(); ++i) {
-    profiles.push_back(runtime::ProfileRuntime(
-        set.Runtime(static_cast<RuntimeId>(i)), slo,
-        static_cast<RuntimeId>(i), overhead, max_batch));
-  }
-  return profiles;
-}
-
-}  // namespace
 
 ArloScheme::ArloScheme(std::shared_ptr<const runtime::RuntimeSet> runtimes,
                        ArloSchemeConfig config, DispatchKind dispatch)
-    : runtimes_(std::move(runtimes)),
+    : SchemeBase(std::move(runtimes), config, config.runtime_scheduler.slo),
       config_(std::move(config)),
       dispatch_kind_(dispatch),
-      profiles_(MakeProfiles(*runtimes_, config_.runtime_scheduler.slo,
-                             config_.profiling_overhead, config_.max_batch)),
-      queue_(runtimes_->Size()),
-      request_scheduler_(runtimes_.get(), &queue_, config_.request_scheduler),
-      runtime_scheduler_(runtimes_.get(), profiles_,
-                         config_.runtime_scheduler) {
-  ARLO_CHECK(config_.initial_gpus >= 1);
-  target_gpus_ = config_.initial_gpus;
-  if (config_.enable_autoscaler) {
-    autoscaler_.emplace(config_.autoscaler, config_.runtime_scheduler.slo);
-  }
-}
+      request_scheduler_(&Runtimes(), &Queue(), config_.request_scheduler),
+      runtime_scheduler_(&Runtimes(), Profiles(), config_.runtime_scheduler) {}
 
 std::string ArloScheme::Name() const {
   switch (dispatch_kind_) {
@@ -56,16 +30,9 @@ std::string ArloScheme::Name() const {
   return "arlo";
 }
 
-void ArloScheme::LaunchOne(sim::ClusterOps& cluster, RuntimeId runtime,
-                           SimDuration delay) {
-  cluster.LaunchInstance(runtime, runtimes_->RuntimePtr(runtime), delay);
-  ++pending_launches_;
-}
-
-void ArloScheme::Setup(sim::ClusterOps& cluster) {
-  std::vector<int> allocation;
+std::vector<int> ArloScheme::InitialAllocation() const {
   if (!config_.initial_allocation.empty()) {
-    ARLO_CHECK(config_.initial_allocation.size() == runtimes_->Size());
+    ARLO_CHECK(config_.initial_allocation.size() == Runtimes().Size());
     int total = 0;
     for (int v : config_.initial_allocation) {
       ARLO_CHECK(v >= 0);
@@ -73,35 +40,35 @@ void ArloScheme::Setup(sim::ClusterOps& cluster) {
     }
     ARLO_CHECK_MSG(total == config_.initial_gpus,
                    "initial_allocation must sum to initial_gpus");
-    allocation = config_.initial_allocation;
-  } else if (!config_.initial_demand.empty()) {
-    ARLO_CHECK(config_.initial_demand.size() == runtimes_->Size());
+    return config_.initial_allocation;
+  }
+  if (!config_.initial_demand.empty()) {
+    ARLO_CHECK(config_.initial_demand.size() == Runtimes().Size());
     solver::AllocationProblem problem;
     problem.gpus = config_.initial_gpus;
     problem.demand = config_.initial_demand;
-    problem.profiles = profiles_;
+    problem.profiles = Profiles();
     solver::AllocationSolveOptions options;
     options.max_nodes = config_.runtime_scheduler.solver_max_nodes;
-    allocation = solver::SolveAllocationExact(problem, options)
-                     .gpus_per_runtime;
-  } else {
-    allocation.assign(runtimes_->Size(), 0);
-    allocation.back() = config_.initial_gpus;
+    return solver::SolveAllocationExact(problem, options).gpus_per_runtime;
   }
-  for (std::size_t i = 0; i < allocation.size(); ++i) {
-    for (int k = 0; k < allocation[i]; ++k) {
-      LaunchOne(cluster, static_cast<RuntimeId>(i), 0);
-    }
-  }
-  allocation_history_.emplace_back(cluster.Now(), allocation);
+  std::vector<int> allocation(Runtimes().Size(), 0);
+  allocation.back() = config_.initial_gpus;
+  return allocation;
+}
+
+void ArloScheme::Setup(sim::ClusterOps& cluster) {
+  std::vector<int> allocation = InitialAllocation();
+  Deploy(cluster, allocation);
+  allocation_history_.emplace_back(cluster.Now(), std::move(allocation));
   next_period_ = cluster.Now() + config_.runtime_scheduler.period;
 }
 
 InstanceId ArloScheme::SelectIlb(int length) const {
   // Ideal runtime, least-loaded instance; if the ideal level is empty the
   // request moves up only as far as the first level that has any instance.
-  for (const RuntimeId level : runtimes_->CandidatesFor(length)) {
-    const auto head = queue_.Head(level);
+  for (const RuntimeId level : Runtimes().CandidatesFor(length)) {
+    const auto head = Queue().Head(level);
     if (head) return head->id;
   }
   return kInvalidInstance;
@@ -111,8 +78,8 @@ InstanceId ArloScheme::SelectIg(int length) const {
   // Globally least outstanding across all candidate levels' heads.
   InstanceId best = kInvalidInstance;
   int best_load = std::numeric_limits<int>::max();
-  for (const RuntimeId level : runtimes_->CandidatesFor(length)) {
-    const auto head = queue_.Head(level);
+  for (const RuntimeId level : Runtimes().CandidatesFor(length)) {
+    const auto head = Queue().Head(level);
     if (head && head->outstanding < best_load) {
       best_load = head->outstanding;
       best = head->id;
@@ -140,7 +107,7 @@ InstanceId ArloScheme::SelectInstance(const Request& request,
           if (decision->demoted) {
             sink->RecordDemotion(
                 request, cluster.Now(),
-                static_cast<int>(runtimes_->IdealRuntimeFor(request.length)),
+                static_cast<int>(Runtimes().IdealRuntimeFor(request.length)),
                 static_cast<int>(decision->runtime));
           }
           if (decision->fell_back) {
@@ -168,109 +135,19 @@ InstanceId ArloScheme::SelectInstance(const Request& request,
   return picked;
 }
 
-void ArloScheme::OnDispatched(const Request& request, InstanceId instance) {
-  queue_.OnDispatch(instance);
-  runtime_scheduler_.ObserveRequest(request.length);
-}
-
-void ArloScheme::OnComplete(const RequestRecord& record,
-                            sim::ClusterOps& cluster) {
-  queue_.OnComplete(record.instance);
-  if (autoscaler_) {
-    autoscaler_->OnCompletion(cluster.Now(), record.Latency());
-  }
-}
-
-void ArloScheme::OnInstanceReady(InstanceId instance, RuntimeId runtime) {
-  ARLO_CHECK(pending_launches_ > 0);
-  --pending_launches_;
-  queue_.AddInstance(instance, runtime,
-                     profiles_[runtime].capacity_within_slo);
-  ready_instances_[instance] = runtime;
-}
-
-void ArloScheme::OnInstanceRetired(InstanceId instance) {
-  // Already removed from the queue before RetireInstance was issued.
-  ARLO_CHECK(ready_instances_.count(instance) == 0);
+void ArloScheme::ObserveDispatch(int length) {
+  runtime_scheduler_.ObserveRequest(length);
 }
 
 void ArloScheme::OnInstanceFailure(InstanceId instance,
                                    sim::ClusterOps& cluster) {
-  ARLO_CHECK_MSG(ready_instances_.count(instance) > 0,
-                 "failure reported for an instance Arlo does not track");
-  const RuntimeId runtime = ready_instances_[instance];
-  queue_.RemoveInstance(instance);
-  ready_instances_.erase(instance);
-  // A crash is not a scaling decision: the cluster manager reprovisions the
-  // worker, which re-loads the same runtime after the usual launch delay.
-  LaunchOne(cluster, runtime, config_.replace_delay);
+  SchemeBase::OnInstanceFailure(instance, cluster);
   // Graceful degradation: while the replacement provisions, the surviving
   // fleet is one GPU short — pull the next allocation solve forward so the
   // runtime mix is re-balanced for the reduced capacity at the next tick
   // instead of up to a full period later.
   if (config_.reallocate_on_failure && config_.enable_reallocation) {
     next_period_ = cluster.Now();
-  }
-}
-
-std::vector<DeployedInstance> ArloScheme::SnapshotDeployment() const {
-  std::vector<DeployedInstance> out;
-  out.reserve(ready_instances_.size());
-  for (const auto& [id, rt] : ready_instances_) {
-    const InstanceLoad load = queue_.Get(id);
-    out.push_back(DeployedInstance{id, rt, load.outstanding});
-  }
-  return out;
-}
-
-void ArloScheme::ExecuteBatch(sim::ClusterOps& cluster,
-                              const std::vector<ReplacementStep>& batch) {
-  for (const auto& step : batch) {
-    // The instance may have been scaled in since the plan was made.
-    if (!ready_instances_.count(step.instance)) continue;
-    queue_.RemoveInstance(step.instance);
-    ready_instances_.erase(step.instance);
-    if (telemetry::TelemetrySink* sink = Telemetry()) {
-      sink->RecordReplacement(cluster.Now(), step.instance, step.to);
-    }
-    cluster.RetireInstance(step.instance);
-    LaunchOne(cluster, step.to, config_.replace_delay);
-  }
-}
-
-void ArloScheme::RunAutoscaler(SimTime now, sim::ClusterOps& cluster) {
-  const ScaleAction action = autoscaler_->Evaluate(now, target_gpus_);
-  if (action == ScaleAction::kOut) {
-    // §4: a new worker loads the maximum-length runtime.
-    LaunchOne(cluster, static_cast<RuntimeId>(runtimes_->Size() - 1),
-              config_.replace_delay);
-    ++target_gpus_;
-    if (telemetry::TelemetrySink* sink = Telemetry()) {
-      sink->RecordAutoscale(now, /*scale_out=*/true, target_gpus_);
-    }
-  } else if (action == ScaleAction::kIn) {
-    // Release the least busy instance — but never the last instance of the
-    // largest runtime (Eq. 7).
-    const RuntimeId largest = static_cast<RuntimeId>(runtimes_->Size() - 1);
-    InstanceId victim = kInvalidInstance;
-    int victim_load = std::numeric_limits<int>::max();
-    for (const auto& [id, rt] : ready_instances_) {
-      if (rt == largest && queue_.NumInstances(largest) <= 1) continue;
-      const int load = queue_.Get(id).outstanding;
-      if (load < victim_load) {
-        victim_load = load;
-        victim = id;
-      }
-    }
-    if (victim != kInvalidInstance) {
-      queue_.RemoveInstance(victim);
-      ready_instances_.erase(victim);
-      cluster.RetireInstance(victim);
-      --target_gpus_;
-      if (telemetry::TelemetrySink* sink = Telemetry()) {
-        sink->RecordAutoscale(now, /*scale_out=*/false, target_gpus_);
-      }
-    }
   }
 }
 
@@ -281,47 +158,35 @@ void ArloScheme::MaybeReallocate(SimTime now, sim::ClusterOps& cluster) {
   if (!config_.enable_reallocation) return;
   // Defer only while a previous replacement plan is still rolling out;
   // pending scale-out launches are additive and do not conflict.
-  if (!pending_batches_.empty()) return;
-  if (ready_instances_.empty()) return;
+  if (RollingOut() || ReadyInstances().empty()) return;
 
-  const int gpus = static_cast<int>(ready_instances_.size());
+  const int gpus = static_cast<int>(ReadyInstances().size());
   const auto solve_start = std::chrono::steady_clock::now();
   solver::AllocationResult allocation;
   if (config_.runtime_scheduler.max_replacement_moves > 0) {
-    std::vector<int> deployed(runtimes_->Size(), 0);
-    for (const auto& [id, rt] : ready_instances_) ++deployed[rt];
+    std::vector<int> deployed(Runtimes().Size(), 0);
+    for (const auto& [id, rt] : ReadyInstances()) ++deployed[rt];
     allocation =
         runtime_scheduler_.ComputeAllocationIncremental(gpus, deployed);
   } else {
     allocation = runtime_scheduler_.ComputeAllocation(gpus);
   }
-  ReplacementPlan plan =
-      runtime_scheduler_.PlanFor(SnapshotDeployment(), allocation);
+  const int moves =
+      Enqueue(runtime_scheduler_.PlanFor(SnapshotDeployment(), allocation));
   if (telemetry::TelemetrySink* sink = Telemetry()) {
     const auto solve_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                               std::chrono::steady_clock::now() - solve_start)
                               .count();
-    int moves = 0;
-    for (const auto& batch : plan.batches) {
-      moves += static_cast<int>(batch.size());
-    }
     sink->RecordAllocationSolve(now, solve_ns, gpus, moves);
-  }
-  for (auto& batch : plan.batches) {
-    pending_batches_.push_back(std::move(batch));
   }
   allocation_history_.emplace_back(now, allocation.gpus_per_runtime);
   // Begin rolling out immediately; remaining batches drain one per tick.
-  if (!pending_batches_.empty()) {
-    std::vector<ReplacementStep> batch = std::move(pending_batches_.front());
-    pending_batches_.pop_front();
-    ExecuteBatch(cluster, batch);
-  }
+  RollOutNextBatch(cluster);
 }
 
 bool ArloScheme::ApplyExternalAllocation(const std::vector<int>& allocation,
                                          sim::ClusterOps& cluster) {
-  if (allocation.size() != runtimes_->Size()) return false;
+  if (allocation.size() != Runtimes().Size()) return false;
   int total = 0;
   for (int v : allocation) {
     if (v < 0) return false;
@@ -333,74 +198,33 @@ bool ArloScheme::ApplyExternalAllocation(const std::vector<int>& allocation,
   // mid-rollout apply would double-move workers.  The controller sees the
   // same fleet through /statusz, so a mismatch means its scrape is stale —
   // reject and let it re-plan from fresh state.
-  if (total != static_cast<int>(ready_instances_.size())) return false;
-  if (!pending_batches_.empty() || pending_launches_ > 0) return false;
+  if (total != static_cast<int>(ReadyInstances().size())) return false;
+  if (RollingOut() || PendingLaunches() > 0) return false;
 
   solver::AllocationResult target;
   target.feasible = true;
   target.gpus_per_runtime = allocation;
-  ReplacementPlan plan =
-      runtime_scheduler_.PlanFor(SnapshotDeployment(), target);
-  for (auto& batch : plan.batches) {
-    pending_batches_.push_back(std::move(batch));
-  }
+  const int moves =
+      Enqueue(runtime_scheduler_.PlanFor(SnapshotDeployment(), target));
   allocation_history_.emplace_back(cluster.Now(), allocation);
   // Push the local solve out a full period so a locally-enabled scheduler
   // does not immediately fight the external controller's decision.
   next_period_ = cluster.Now() + config_.runtime_scheduler.period;
   if (telemetry::TelemetrySink* sink = Telemetry()) {
-    int moves = 0;
-    for (const auto& batch : pending_batches_) {
-      moves += static_cast<int>(batch.size());
-    }
     sink->RecordAllocationSolve(cluster.Now(), /*solve_ns=*/0, total, moves);
   }
-  if (!pending_batches_.empty()) {
-    std::vector<ReplacementStep> batch = std::move(pending_batches_.front());
-    pending_batches_.pop_front();
-    ExecuteBatch(cluster, batch);
-  }
+  RollOutNextBatch(cluster);
   return true;
 }
 
 void ArloScheme::OnTick(SimTime now, sim::ClusterOps& cluster) {
-  // Availability guard for Eq. 7: the largest runtime must always have an
-  // instance (or one provisioning), otherwise the longest requests starve
-  // until the next re-allocation period.  An abrupt failure can break this
-  // invariant between periods; repair it immediately by converting the
-  // least busy instance (or launching fresh when nothing is left).
-  const RuntimeId largest = static_cast<RuntimeId>(runtimes_->Size() - 1);
-  if (queue_.NumInstances(largest) == 0 && pending_launches_ == 0) {
-    InstanceId victim = kInvalidInstance;
-    int victim_load = std::numeric_limits<int>::max();
-    for (const auto& [id, rt] : ready_instances_) {
-      const int load = queue_.Get(id).outstanding;
-      if (load < victim_load) {
-        victim_load = load;
-        victim = id;
-      }
-    }
-    if (victim != kInvalidInstance) {
-      queue_.RemoveInstance(victim);
-      ready_instances_.erase(victim);
-      cluster.RetireInstance(victim);
-    } else {
-      ++target_gpus_;  // everything died; provision replacement hardware
-    }
-    LaunchOne(cluster, largest, config_.replace_delay);
-  }
-
-  // Roll out at most one replacement batch per tick (§4: small batches to
-  // avoid pressuring uninvolved instances).
-  if (!pending_batches_.empty()) {
-    std::vector<ReplacementStep> batch = std::move(pending_batches_.front());
-    pending_batches_.pop_front();
-    ExecuteBatch(cluster, batch);
-  }
+  EnforceEq7(cluster);
+  // At most one replacement batch per tick (§4).
+  RollOutNextBatch(cluster);
   // Re-allocation before autoscaling: the allocation fixes *distribution*
   // mismatch, which scaling out more max-length workers cannot.
   MaybeReallocate(now, cluster);
-  if (autoscaler_) RunAutoscaler(now, cluster);
+  RunAutoscaler(now, cluster);
 }
 
 void ArloScheme::WriteStatusJson(std::ostream& os, SimTime now) const {
@@ -417,25 +241,7 @@ void ArloScheme::WriteStatusJson(std::ostream& os, SimTime now) const {
   } else {
     os << "],\"last_realloc_s\":null,\"since_realloc_s\":null";
   }
-  os << ",\"target_gpus\":" << target_gpus_
-     << ",\"pending_launches\":" << pending_launches_
-     << ",\"ready_instances\":" << ready_instances_.size();
-  os << ",\"levels\":[";
-  for (std::size_t level = 0; level < queue_.NumLevels(); ++level) {
-    if (level > 0) os << ",";
-    std::int64_t outstanding = 0;
-    std::int64_t capacity = 0;
-    for (const InstanceLoad& load :
-         queue_.LevelSnapshot(static_cast<RuntimeId>(level))) {
-      outstanding += load.outstanding;
-      capacity += load.max_capacity;
-    }
-    os << "{\"level\":" << level << ",\"instances\":"
-       << queue_.NumInstances(static_cast<RuntimeId>(level))
-       << ",\"outstanding\":" << outstanding << ",\"capacity\":" << capacity
-       << "}";
-  }
-  os << "]";
+  WriteFleetJson(os);
   os << ",\"dispatch\":{\"total\":" << stats_.total
      << ",\"demoted\":" << stats_.demoted
      << ",\"fallbacks\":" << stats_.fallbacks << "}";

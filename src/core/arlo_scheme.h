@@ -1,32 +1,33 @@
 // The complete Arlo serving system as a sim::Scheme: polymorphed runtime
 // set + Runtime Scheduler (periodic ILP allocation, minimal replacement) +
 // Request Scheduler (multi-level queue dispatch) + optional target-tracking
-// auto-scaler.  The Table-4 ablations (ILB / IG dispatching) are selectable
-// so they share every other component with Arlo, isolating the dispatcher.
+// auto-scaler.  The instance lifecycle, the Eq. 7 guard, autoscaling and the
+// replacement rollout are SchemeBase's, shared with the baselines; Arlo adds
+// its dispatchers, the allocation solves whose plans it hands to the base's
+// rollout, and the allocation history.  The Table-4 ablations (ILB / IG
+// dispatching) are selectable so they share every other component with
+// Arlo, isolating the dispatcher.
 #pragma once
 
 #include <algorithm>
-#include <deque>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "core/autoscaler.h"
-#include "core/multi_level_queue.h"
-#include "core/replacement.h"
 #include "core/request_scheduler.h"
 #include "core/runtime_scheduler.h"
+#include "core/scheme_base.h"
 #include "runtime/runtime_set.h"
-#include "sim/scheme.h"
 
 namespace arlo::core {
 
-struct ArloSchemeConfig {
+/// The fleet knobs (initial_gpus, autoscaler, replace_delay, profiling
+/// overhead, max_batch) come from FleetConfig; the SLO is
+/// runtime_scheduler.slo.
+struct ArloSchemeConfig : FleetConfig {
   RuntimeSchedulerConfig runtime_scheduler;
   RequestSchedulerParams request_scheduler;
 
-  int initial_gpus = 10;
   /// Optional per-bin demand (requests per SLO window) used to pre-solve the
   /// initial allocation; empty = bootstrap with everything on the largest
   /// runtime until the first observation period completes.
@@ -43,22 +44,9 @@ struct ArloSchemeConfig {
   /// waiting out the remainder of the period.  No-op unless
   /// enable_reallocation.
   bool reallocate_on_failure = true;
-
-  bool enable_autoscaler = false;
-  AutoscalerConfig autoscaler;
-
-  /// Online instance replacement / launch delay (§4: ~1 s).
-  SimDuration replace_delay = Seconds(1.0);
-
-  /// Fixed per-request serving overhead folded into the offline profiles
-  /// (network + host-device copies; §5.2.1 calibrates 0.8 ms).
-  SimDuration profiling_overhead = Millis(0.8);
-  /// Executor batch size hint: capacities M_i are profiled at the effective
-  /// per-request batched service time (1 = batch-1, identical to before).
-  int max_batch = 1;
 };
 
-class ArloScheme final : public sim::Scheme {
+class ArloScheme final : public SchemeBase {
  public:
   /// Dispatch strategy: Arlo's Request Scheduler, or the Table-4 baselines.
   enum class DispatchKind {
@@ -75,13 +63,11 @@ class ArloScheme final : public sim::Scheme {
   void Setup(sim::ClusterOps& cluster) override;
   InstanceId SelectInstance(const Request& request,
                             sim::ClusterOps& cluster) override;
-  void OnDispatched(const Request& request, InstanceId instance) override;
-  void OnComplete(const RequestRecord& record,
-                  sim::ClusterOps& cluster) override;
-  void OnInstanceReady(InstanceId instance, RuntimeId runtime) override;
-  void OnInstanceRetired(InstanceId instance) override;
+  /// The base's reprovisioning, then (reallocate_on_failure) the next
+  /// allocation solve pulled forward to the next tick.
   void OnInstanceFailure(InstanceId instance,
                          sim::ClusterOps& cluster) override;
+  /// Eq. 7 guard, one rollout batch, re-allocation, then autoscaling.
   void OnTick(SimTime now, sim::ClusterOps& cluster) override;
   /// Cluster-control-plane apply (POST /realloc): adopts `allocation` as the
   /// new target and rolls it out through the normal replacement batches.
@@ -113,34 +99,20 @@ class ArloScheme final : public sim::Scheme {
   };
   const DispatchStats& Stats() const { return stats_; }
 
-  const MultiLevelQueue& Queue() const { return queue_; }
-
  private:
-  void LaunchOne(sim::ClusterOps& cluster, RuntimeId runtime,
-                 SimDuration delay);
-  void ExecuteBatch(sim::ClusterOps& cluster,
-                    const std::vector<ReplacementStep>& batch);
+  /// initial_allocation, else the exact solve of initial_demand, else
+  /// everything on the largest runtime.
+  std::vector<int> InitialAllocation() const override;
+  void ObserveDispatch(int length) override;
   void MaybeReallocate(SimTime now, sim::ClusterOps& cluster);
-  void RunAutoscaler(SimTime now, sim::ClusterOps& cluster);
-  std::vector<DeployedInstance> SnapshotDeployment() const;
 
   InstanceId SelectIlb(int length) const;
   InstanceId SelectIg(int length) const;
 
-  std::shared_ptr<const runtime::RuntimeSet> runtimes_;
   ArloSchemeConfig config_;
   DispatchKind dispatch_kind_;
-  std::vector<runtime::RuntimeProfile> profiles_;
-
-  MultiLevelQueue queue_;
   RequestScheduler request_scheduler_;
   RuntimeScheduler runtime_scheduler_;
-  std::optional<TargetTrackingAutoscaler> autoscaler_;
-
-  std::map<InstanceId, RuntimeId> ready_instances_;
-  int pending_launches_ = 0;
-  std::deque<std::vector<ReplacementStep>> pending_batches_;
-  int target_gpus_ = 0;
   SimTime next_period_ = 0;
 
   std::vector<std::pair<SimTime, std::vector<int>>> allocation_history_;

@@ -5,7 +5,7 @@
 namespace arlo::core {
 
 RequestScheduler::RequestScheduler(const runtime::RuntimeSet* runtimes,
-                                   MultiLevelQueue* queue,
+                                   const MultiLevelQueue* queue,
                                    RequestSchedulerParams params)
     : runtimes_(runtimes), queue_(queue), params_(params) {
   ARLO_CHECK(runtimes_ != nullptr);

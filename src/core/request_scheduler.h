@@ -34,7 +34,8 @@ struct DispatchDecision {
 
 class RequestScheduler {
  public:
-  RequestScheduler(const runtime::RuntimeSet* runtimes, MultiLevelQueue* queue,
+  RequestScheduler(const runtime::RuntimeSet* runtimes,
+                   const MultiLevelQueue* queue,
                    RequestSchedulerParams params = {});
 
   /// Algorithm 1.  Returns nullopt when no candidate level currently has a
@@ -47,7 +48,7 @@ class RequestScheduler {
 
  private:
   const runtime::RuntimeSet* runtimes_;
-  MultiLevelQueue* queue_;
+  const MultiLevelQueue* queue_;
   RequestSchedulerParams params_;
 };
 

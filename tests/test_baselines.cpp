@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
+
 #include "baselines/infaas_scheme.h"
 #include "baselines/scenario.h"
 #include "baselines/uniform_scheme.h"
 #include "sim/engine.h"
+#include "telemetry/sink.h"
 #include "trace/twitter.h"
 
 namespace arlo::baselines {
@@ -85,6 +90,39 @@ TEST(InfaasScheme, ServesAllAndReallocatesVariants) {
     if (r.runtime != 7u) used_small_variant = true;
   }
   EXPECT_TRUE(used_small_variant);
+}
+
+// INFaaS rolls its plans out through the shared replacement path, so every
+// executed step is a `replacement` trace instant and counts toward
+// Serving().replacements.  Without faults or autoscaling every retirement is
+// a rollout step, which gives the independent count.
+TEST(InfaasScheme, RolloutStepsAreRecordedAsReplacements) {
+  const trace::Trace t = SmallTrace(250.0, 8.0, 4);
+  ScenarioConfig config;  // cold start: the first plan re-images the fleet
+  config.gpus = 4;
+  config.period = Seconds(2.0);
+  auto scheme = MakeSchemeByName("infaas", config);
+  telemetry::TelemetrySink sink;
+  sim::EngineConfig engine;
+  engine.telemetry = &sink;
+  const sim::EngineResult result = sim::RunScenario(t, *scheme, engine);
+  ASSERT_EQ(result.records.size(), t.Size());
+
+  std::ostringstream trace;
+  sink.WriteChromeTrace(trace);
+  auto count = [&](const std::string& name) {
+    const std::string key = "\"name\":\"" + name + "\"";
+    std::uint64_t n = 0;
+    for (auto at = trace.str().find(key); at != std::string::npos;
+         at = trace.str().find(key, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  const std::uint64_t replacements = count("replacement");
+  EXPECT_GT(replacements, 0u);
+  EXPECT_EQ(replacements, count("instance_retired"));
+  EXPECT_EQ(sink.Serving().replacements->Value(), replacements);
 }
 
 TEST(InfaasScheme, BinPackingPrefersLoadedInstancesWithHeadroom) {
