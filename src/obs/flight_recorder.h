@@ -9,11 +9,12 @@
 //
 // Concurrency: writers claim a ticket with one fetch_add and publish the
 // slot under a per-slot sequence number (seqlock).  Payload fields are
-// relaxed atomics, so concurrent overwrite is only unordered, never a data
-// race; a reader accepts a slot only when the sequence matches the exact
-// ticket before and after copying, so lapped or in-flight slots are
-// skipped rather than emitted torn.  Record() is wait-free (one fetch_add
-// + ~10 relaxed stores) — safe on the dispatch hot path.
+// atomics (release stores, acquire loads), so concurrent overwrite is only
+// unordered, never a data race; a reader accepts a slot only when the
+// sequence matches the exact ticket before and after copying, so lapped or
+// in-flight slots are skipped rather than emitted torn.  Record() is
+// wait-free (one fetch_add + ~10 release stores, plain moves on x86) — safe
+// on the dispatch hot path.
 #pragma once
 
 #include <atomic>
