@@ -1,7 +1,8 @@
 // Live serving on real threads: the same Arlo scheme that runs in the
-// simulator, driven by the threaded testbed — worker threads emulate GPU
-// instances with wall-clock service times, a frontend replays the trace in
-// (compressed) real time, and the multi-level queue absorbs dispatch races.
+// simulator, driven by the threaded testbed — its executor thread emulates
+// GPU instances with wall-clock service times, a frontend replays the trace
+// in (compressed) real time, and the multi-level queue absorbs dispatch
+// races.
 //
 // This is the path to use when validating scheduler behaviour against real
 // concurrency (lock ordering, replacement races) rather than modeled time.
@@ -408,8 +409,9 @@ int main(int argc, char** argv) {
 
   // Telemetry: always on for --listen and for the admin plane (both exist
   // to observe a live run); otherwise only when an output file was
-  // requested.  The testbed dispatches from concurrent worker threads, so
-  // the sink is built with the multi-threaded (sharded) layout.
+  // requested.  The testbed records from its executor thread and from the
+  // submitting threads, so the sink is built with the multi-threaded
+  // (sharded) layout.
   std::unique_ptr<telemetry::TelemetrySink> sink;
   if (listen || admin || !metrics_out.empty() || !trace_out.empty()) {
     telemetry::TelemetryConfig tcfg;
@@ -553,7 +555,7 @@ int main(int argc, char** argv) {
 
     std::cout << "replaying " << trace.Size() << " requests over ~"
               << seconds / speed << " wall seconds on " << config.gpus
-              << " worker threads...\n";
+              << " GPU instances...\n";
     if (admin) {
       // With an admin plane the replay runs on an explicit LiveTestbed so
       // the /statusz and /healthz providers have a backend to inspect —

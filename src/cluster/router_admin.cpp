@@ -6,6 +6,7 @@
 #include "cluster/router.h"
 #include "ctrl/scheduler.h"
 #include "obs/http.h"
+#include "obs/probe.h"
 #include "telemetry/sink.h"
 
 namespace arlo::cluster {
@@ -121,8 +122,10 @@ std::unique_ptr<obs::AdminServer> MakeRouterAdmin(
             result = obs::HttpFetch(node.endpoint.admin_port, "GET",
                                     "/statusz");
           }
-          if (result.ok && result.status == 200 && !result.body.empty() &&
-              result.body.front() == '{') {
+          // Splice only a body the probe parser accepts as one statusz.
+          obs::NodeProbe parsed;
+          if (result.ok && result.status == 200 &&
+              obs::ParseStatusz(result.body, parsed)) {
             os << ",\"reachable\":true,\"statusz\":" << result.body;
           } else {
             os << ",\"reachable\":false";

@@ -4,7 +4,7 @@
 // background crashes.  One plan drives both execution substrates: the
 // discrete-event simulator consumes it as scheduled events (byte-identical
 // traces for a fixed plan + seed), and the threaded testbed runs the same
-// executor-core fault handling on a timer thread against the wall clock.
+// events on its executor thread against the wall clock.
 //
 // Text DSL (one directive per line; '#' starts a comment; times/durations
 // are seconds; grammar documented in docs/FAULTS.md):

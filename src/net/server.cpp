@@ -134,7 +134,7 @@ void Server::Impl::Stop() {
 serving::LiveTestbed::CompletionFn Server::Impl::OnDone(RequestId id,
                                                         int tenant_class) {
   return [this, id, tenant_class](const RequestRecord& record) {
-    // Worker thread, dispatch mutex held: just hand off and wake.
+    // Executor thread, dispatch mutex held: just hand off and wake.
     admission_.OnRequestDone(tenant_class);
     {
       std::lock_guard lock(completions_mu_);

@@ -6,12 +6,12 @@
 // AdmissionController.  The loop submits the admitted requests to the
 // LiveTestbed itself: it collects a pass's admissions and, after the pass's
 // events, hands them over with one LiveTestbed::SubmitAll — one dispatch
-// lock acquisition per pass, whatever the batch size — and the testbed
-// notifies the woken workers after releasing that lock.  Rejections are
-// replied to inline from the event loop.
+// lock acquisition per pass, whatever the batch size; an idle instance may
+// start its next batch inside that call.  Rejections are replied to inline
+// from the event loop.
 //
-// Completions flow back the reverse way: the testbed worker's completion
-// callback pushes (request id, record) onto the server's completion list
+// Completions flow back the reverse way: the completion callback, run on
+// the testbed's executor thread, pushes (request id, record) onto the server's completion list
 // and wakes the event loop through a self-pipe (WakePipe coalesces a burst
 // of wakes into one byte); the event loop matches each drained record to
 // its connection, encodes its Reply frame, and then writes once per
@@ -21,11 +21,11 @@
 // every pass the loop checks conservation:
 //   accepted + rejected == replies_sent + replies_dropped + pending.
 //
-// Threads: the event loop, plus the testbed's worker threads that run the
+// Threads: the event loop, plus the testbed's executor thread that runs the
 // completion callbacks.  Lock order: dispatch mutex -> completions mutex.
 // The event loop takes the dispatch mutex (inside SubmitAll) without holding
-// any server lock; worker threads take the completions mutex (leaf) while
-// holding the dispatch mutex; the stats mutex is a leaf.
+// any server lock; the executor thread takes the completions mutex (leaf)
+// while holding the dispatch mutex; the stats mutex is a leaf.
 //
 // Backpressure: the admission controller's inflight cap rejects explicitly,
 // and beyond it TCP flow control pushes back on senders while the loop is

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "net/conn.h"
 #include "net/poller.h"
 #include "net/socket.h"
 #include "obs/flight_recorder.h"
@@ -59,11 +60,10 @@ bool ParseAllocParam(const std::string& params, std::vector<int>& out) {
 
 struct AdminServer::Impl {
   struct Conn {
-    net::ScopedFd fd;
+    /// The socket and its unwritten response; `io.want_read` turns false
+    /// once the one request a connection carries is complete.
+    net::Conn io;
     HttpRequestParser parser;
-    std::string out;
-    std::size_t out_off = 0;
-    bool responding = false;
   };
 
   explicit Impl(Options opts) : options(opts) {}
@@ -80,6 +80,7 @@ struct AdminServer::Impl {
   std::set<std::string> known_paths;      ///< for 405 vs 404
 
   net::ScopedFd listen_fd;
+  net::WakePipe wake;
   std::unique_ptr<net::Poller> poller;
   std::thread thread;
   std::atomic<bool> stopping{false};
@@ -94,18 +95,11 @@ struct AdminServer::Impl {
 
 void AdminServer::Impl::AcceptNew() {
   for (;;) {
-    const int fd = ::accept(listen_fd.Get(), nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      return;  // transient accept failure: keep serving
-    }
-    net::SetNonBlocking(fd);
-    net::SetNoDelay(fd);
-    Conn conn;
-    conn.fd = net::ScopedFd(fd);
-    conns.emplace(fd, std::move(conn));
-    poller->Add(fd, /*want_read=*/true, /*want_write=*/false);
+    net::ScopedFd fd = net::AcceptConn(listen_fd.Get());
+    if (!fd.Valid()) return;  // none pending, or a transient failure
+    const int raw = fd.Get();
+    conns[raw].io.fd = std::move(fd);
+    poller->Add(raw, /*want_read=*/true, /*want_write=*/false);
     std::lock_guard lock(stats_mu);
     ++stats.connections;
   }
@@ -131,7 +125,7 @@ void AdminServer::Impl::OnReadable(int fd) {
   const auto it = conns.find(fd);
   if (it == conns.end()) return;
   Conn& conn = it->second;
-  if (conn.responding) return;  // ignore extra bytes while flushing
+  if (!conn.io.want_read) return;  // ignore extra bytes while flushing
   char buf[4096];
   for (;;) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
@@ -156,30 +150,18 @@ void AdminServer::Impl::OnReadable(int fd) {
     std::lock_guard lock(stats_mu);
     ++stats.requests;
   }
-  conn.out = SerializeResponse(response);
-  conn.responding = true;
-  poller->Modify(fd, /*want_read=*/false, /*want_write=*/true);
+  const std::string bytes = SerializeResponse(response);
+  conn.io.out.assign(bytes.begin(), bytes.end());
+  conn.io.want_read = false;  // a partial flush re-registers write-only
   FlushConn(fd);
 }
 
 void AdminServer::Impl::FlushConn(int fd) {
   const auto it = conns.find(fd);
   if (it == conns.end()) return;
-  Conn& conn = it->second;
-  while (conn.out_off < conn.out.size()) {
-    const ssize_t n =
-        ::send(fd, conn.out.data() + conn.out_off,
-               conn.out.size() - conn.out_off, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.out_off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    if (n < 0 && errno == EINTR) continue;
-    CloseConn(fd);
-    return;
-  }
-  CloseConn(fd);  // one response per connection, then close
+  net::Conn& io = it->second.io;
+  // One response per connection: close once it is written, or on an error.
+  if (net::FlushConn(*poller, io) < 0 || io.out.empty()) CloseConn(fd);
 }
 
 void AdminServer::Impl::CloseConn(int fd) {
@@ -192,8 +174,12 @@ void AdminServer::Impl::CloseConn(int fd) {
 void AdminServer::Impl::Loop() {
   std::vector<net::PollEvent> events;
   while (!stopping.load(std::memory_order_relaxed)) {
-    poller->Wait(50, events);
+    poller->Wait(-1, events);  // Stop wakes it through the pipe
     for (const net::PollEvent& ev : events) {
+      if (ev.fd == wake.ReadFd()) {
+        wake.Drain();
+        continue;
+      }
       if (ev.fd == listen_fd.Get()) {
         if (ev.readable) AcceptNew();
         continue;
@@ -233,6 +219,8 @@ void AdminServer::Start() {
                                 : net::Poller::DefaultBackend());
   impl_->poller->Add(impl_->listen_fd.Get(), /*want_read=*/true,
                      /*want_write=*/false);
+  impl_->poller->Add(impl_->wake.ReadFd(), /*want_read=*/true,
+                     /*want_write=*/false);
   impl_->thread = std::thread([this] { impl_->Loop(); });
 }
 
@@ -241,6 +229,7 @@ void AdminServer::Stop() {
     return;
   }
   impl_->stopping.store(true, std::memory_order_relaxed);
+  impl_->wake.Wake();
   if (impl_->thread.joinable()) impl_->thread.join();
   // Tear down on the caller's thread — the loop has exited.
   for (auto& [fd, conn] : impl_->conns) {

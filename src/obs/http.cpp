@@ -1,9 +1,12 @@
 #include "obs/http.h"
 
+#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "net/socket.h"
@@ -24,6 +27,46 @@ std::string Trim(const std::string& s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
+}
+
+using FetchClock = std::chrono::steady_clock;
+
+/// Waits until `fd` is ready for `events` (or reports an error, which the
+/// next socket call surfaces).  False when `deadline` passes first.
+bool WaitReady(int fd, short events, FetchClock::time_point deadline) {
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - FetchClock::now());
+    if (left.count() <= 0) return false;
+    pollfd pfd{fd, events, 0};
+    const int n = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (n > 0) return true;
+    if (n == 0 || errno != EINTR) return false;
+  }
+}
+
+/// Non-blocking connect to 127.0.0.1:`port`, finished by `deadline`.
+net::ScopedFd ConnectBy(std::uint16_t port, FetchClock::time_point deadline) {
+  net::ScopedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0));
+  if (!fd.Valid()) return fd;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd.Get(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) == 0) {
+    return fd;
+  }
+  if (errno != EINPROGRESS || !WaitReady(fd.Get(), POLLOUT, deadline)) {
+    return net::ScopedFd();
+  }
+  int error = 0;
+  socklen_t len = sizeof(error);
+  if (::getsockopt(fd.Get(), SOL_SOCKET, SO_ERROR, &error, &len) < 0 ||
+      error != 0) {
+    return net::ScopedFd();
+  }
+  return fd;
 }
 
 }  // namespace
@@ -138,12 +181,9 @@ void HttpRequestParser::ParseHeaderBlock(std::size_t header_end) {
 HttpResult HttpFetch(std::uint16_t port, const std::string& method,
                      const std::string& path, const std::string& body) {
   HttpResult result;
-  net::ScopedFd fd;
-  try {
-    fd = net::ConnectTcp(port);
-  } catch (...) {
-    return result;
-  }
+  const FetchClock::time_point deadline = FetchClock::now() + kHttpFetchDeadline;
+  const net::ScopedFd fd = ConnectBy(port, deadline);
+  if (!fd.Valid()) return result;
   std::string request = method + " " + path + " HTTP/1.1\r\n";
   request += "Host: 127.0.0.1\r\nConnection: close\r\n";
   if (!body.empty() || method == "POST") {
@@ -153,18 +193,20 @@ HttpResult HttpFetch(std::uint16_t port, const std::string& method,
   request += body;
   std::size_t off = 0;
   while (off < request.size()) {
+    if (!WaitReady(fd.Get(), POLLOUT, deadline)) return result;
     const ssize_t n = ::send(fd.Get(), request.data() + off,
                              request.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) return result;
-    off += static_cast<std::size_t>(n);
+    if (n < 0 && errno != EAGAIN && errno != EINTR) return result;
+    off += static_cast<std::size_t>(std::max<ssize_t>(n, 0));
   }
   std::string response;
   char buf[4096];
   for (;;) {
+    if (!WaitReady(fd.Get(), POLLIN, deadline)) return result;
     const ssize_t n = ::recv(fd.Get(), buf, sizeof(buf), 0);
-    if (n < 0) return result;
     if (n == 0) break;
-    response.append(buf, static_cast<std::size_t>(n));
+    if (n < 0 && errno != EAGAIN && errno != EINTR) return result;
+    response.append(buf, static_cast<std::size_t>(std::max<ssize_t>(n, 0)));
   }
   const std::size_t header_end = response.find("\r\n\r\n");
   if (header_end == std::string::npos ||
@@ -183,6 +225,13 @@ HttpResult HttpFetch(std::uint16_t port, const std::string& method,
         Trim(response.substr(ct + 13, eol - (ct + 13)));
   }
   result.body = response.substr(header_end + 4);
+  // A body cut short of its declared length is a truncated answer.
+  const std::size_t cl = headers.find("content-length:");
+  if (cl != std::string::npos &&
+      result.body.size() <
+          std::strtoull(headers.c_str() + cl + 15, nullptr, 10)) {
+    return result;
+  }
   result.ok = result.status > 0;
   return result;
 }

@@ -7,6 +7,7 @@
 // and is exactly how Prometheus scrapes behave with `Connection: close`.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -69,9 +70,14 @@ struct HttpResult {
   std::string body;
 };
 
+/// The bound on one whole HttpFetch: connect, send and read to EOF.
+inline constexpr std::chrono::milliseconds kHttpFetchDeadline{1000};
+
 /// Blocking one-shot client against 127.0.0.1:`port`: sends the request,
 /// reads to EOF (the server closes after responding), parses the status
-/// line, headers, and body.  For tests and the scrape-storm bench only.
+/// line, headers, and body.  Fails (ok=false) past kHttpFetchDeadline, so
+/// an admin plane that accepts and never answers cannot stall the caller,
+/// and on a body shorter than its Content-Length.
 HttpResult HttpFetch(std::uint16_t port, const std::string& method,
                      const std::string& path, const std::string& body = "");
 

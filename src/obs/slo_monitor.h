@@ -72,7 +72,7 @@ class SloMonitor final : public telemetry::TelemetryObserver {
  public:
   explicit SloMonitor(SloMonitorConfig config = {});
 
-  // TelemetryObserver (called from worker threads / the sim loop):
+  // TelemetryObserver (called from the testbed's threads / the sim loop):
   void OnComplete(const RequestRecord& record) override;
   void OnShed(const Request& request, SimTime now) override;
 

@@ -10,7 +10,6 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <queue>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -23,34 +22,22 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Sleeps until `deadline`, busy-spinning the final `spin` nanoseconds for
-/// sub-scheduler-quantum precision.
-void PreciseWaitUntil(Clock::time_point deadline,
-                      std::chrono::nanoseconds spin) {
+/// The trace replay's arrival wait: sleeps toward `deadline` in <= 50 ms
+/// slices, returning true early once `cancel` fires, then busy-spins the
+/// final `spin` nanoseconds for sub-scheduler-quantum precision.
+bool CancellableWaitUntil(Clock::time_point deadline,
+                          std::chrono::nanoseconds spin,
+                          const std::atomic<bool>* cancel) {
+  constexpr auto kSlice = std::chrono::milliseconds(50);
   const auto sleep_until = deadline - spin;
-  if (Clock::now() < sleep_until) std::this_thread::sleep_until(sleep_until);
+  for (auto now = Clock::now(); now < sleep_until; now = Clock::now()) {
+    if (cancel && cancel->load(std::memory_order_relaxed)) return true;
+    std::this_thread::sleep_until(std::min(sleep_until, now + kSlice));
+  }
   while (Clock::now() < deadline) {
     // spin
   }
-}
-
-/// PreciseWaitUntil, but abandoned (returning true) as soon as `stop`
-/// becomes set — the sleep happens in bounded slices so a Finish() never
-/// waits out a whole tick/snapshot interval.  Used by the background loops,
-/// whose wake-up precision only matters when they actually run the tick.
-bool PreciseWaitUntilOrStopped(Clock::time_point deadline,
-                               std::chrono::nanoseconds spin,
-                               const std::atomic<bool>& stop) {
-  constexpr auto kSlice = std::chrono::milliseconds(50);
-  auto sleep_until = deadline - spin;
-  while (Clock::now() < sleep_until) {
-    if (stop.load(std::memory_order_relaxed)) return true;
-    std::this_thread::sleep_until(std::min(sleep_until, Clock::now() + kSlice));
-  }
-  while (Clock::now() < deadline) {
-    if (stop.load(std::memory_order_relaxed)) return true;
-  }
-  return stop.load(std::memory_order_relaxed);
+  return false;
 }
 
 /// alpha = 1/8 moving average; 0 means "no sample yet".
@@ -62,17 +49,14 @@ void UpdateEwma(std::atomic<std::int64_t>& avg, std::int64_t sample) {
 
 }  // namespace
 
-/// The threading shell around sim::ExecutorCore: a worker thread per
-/// instance sleeps out the service times the core prices, a ticker drives
-/// the scheme, a timer thread runs the core's deferred work (retries, fault
-/// events, health checks).  Every core call happens under dispatch_mu_, the
-/// only mutex.
-struct LiveTestbed::Impl final : public sim::ExecutorHost {
+/// The executor's event-queue shell on the wall clock: one executor thread
+/// runs each event when its scaled time comes; everything else runs on the
+/// calling thread.  Every core call happens under dispatch_mu_.
+struct LiveTestbed::Impl final : public sim::EventShell {
  public:
   Impl(sim::Scheme& scheme, const TestbedConfig& config)
-      : scheme_(scheme),
-        config_(config),
-        core_(scheme, CoreConfig(config), *this, CoreOptions(config)) {
+      : EventShell(scheme, CoreConfig(config), CoreOptions(config)),
+        config_(config) {
     ARLO_CHECK(config_.time_scale > 0.0);
     if (config_.tenants != nullptr && !config_.tenants->Empty()) {
       class_completed_.assign(
@@ -100,31 +84,12 @@ struct LiveTestbed::Impl final : public sim::ExecutorHost {
         completed_rel_.load(std::memory_order_relaxed));
   }
 
-  // sim::ExecutorHost.  Now() is safe from any thread; the core calls the
-  // rest with dispatch_mu_ held.
+  // Now() is safe from any thread; the core calls OnServed with
+  // dispatch_mu_ held.
   SimTime Now() const override { return WallToSim(Clock::now()); }
-  void OnLaunched(InstanceId id, SimDuration ready_delay) override;
-  void Wake(InstanceId id) override;
-  void At(SimTime at, std::function<void()> fn) override;
   void OnServed(const RequestRecord& record, int batch) override;
 
  private:
-  struct Worker {
-    std::thread thread;
-    std::condition_variable cv;  ///< waits on dispatch_mu_
-  };
-  /// Deferred core work, run by the timer thread at `at` (FIFO on ties).
-  struct Timer {
-    SimTime at = 0;
-    std::uint64_t seq = 0;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Timer& a, const Timer& b) const {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
-  };
-
   static sim::ExecutorConfig CoreConfig(const TestbedConfig& config) {
     sim::ExecutorConfig core = config;
     core.resilience.shed_deadline = 0;  // shedding is simulator-only
@@ -149,25 +114,39 @@ struct LiveTestbed::Impl final : public sim::ExecutorHost {
                         static_cast<double>(t) * config_.time_scale));
   }
 
-  void WorkerLoop(InstanceId id, Worker& w, SimDuration ready_delay);
-  void TickLoop();
-  void TimerLoop();
-  void SnapshotLoop();
+  void OnStarted(const sim::ExecutorCore::Start& start) override {
+    if (!config_.generative) UpdateEwma(ewma_form_ns_, start.formation_wait);
+  }
+  /// Runs `fn` under dispatch_mu_ from a thread other than the executor's,
+  /// and wakes the executor when `fn` scheduled an event earlier than every
+  /// event it was waiting for.
+  template <typename Fn>
+  void Locked(Fn&& fn) {
+    std::unique_lock lk(dispatch_mu_);
+    const SimTime earliest = events_.NextTime();
+    fn();
+    if (events_.NextTime() >= earliest) return;
+    kicked_ = true;
+    lk.unlock();
+    loop_cv_.notify_one();
+  }
+  /// The executor thread.
+  void Loop();
 
-  sim::Scheme& scheme_;
   TestbedConfig config_;
   Clock::time_point start_;
   bool started_ = false;
   bool finished_ = false;
 
   std::mutex dispatch_mu_;  // guards everything below that is not atomic
-  sim::ExecutorCore core_;
   std::condition_variable all_done_cv_;
-  /// One per launched instance, indexed by id.  A deque never moves what it
-  /// holds, so a worker thread keeps its own Worker& across launches.
-  std::deque<Worker> workers_;
-  /// Completion order.  A deque never moves what it holds either, so
-  /// appending stays O(1) at any run length; Finish copies it out.
+  std::condition_variable loop_cv_;  ///< the executor thread waits here
+  bool stopping_ = false;
+  /// Set under dispatch_mu_ when the earliest event moves earlier (or on
+  /// stop); read unlocked by the executor thread's final spin.
+  std::atomic<bool> kicked_{false};
+  /// Completion order.  A deque never moves what it holds, so appending
+  /// stays O(1) at any run length; Finish copies it out.
   std::deque<RequestRecord> records_;
   /// Per-class completion counts; empty unless a tenant class table is
   /// configured.
@@ -181,15 +160,6 @@ struct LiveTestbed::Impl final : public sim::ExecutorHost {
   std::uint64_t reallocs_rejected_ = 0;
   SimTime last_realloc_ = -1;
   std::unordered_map<RequestId, CompletionFn> callbacks_;
-  std::priority_queue<Timer, std::vector<Timer>, Later> timers_;
-  std::uint64_t timer_seq_ = 0;
-  std::condition_variable timer_cv_;  ///< waits on dispatch_mu_
-  /// Set while Submit holds the lock: Wake records the worker's cv here
-  /// (once per worker) instead of notifying it, and Submit notifies after
-  /// the unlock.  The cv pointers stay valid unlocked because workers_ never
-  /// moves its elements.
-  std::vector<std::condition_variable*>* deferred_wakes_ = nullptr;
-  std::atomic<bool> stopping_{false};
 
   // Relaxed mirrors, so frontend/admission threads can estimate load
   // without touching dispatch_mu_.
@@ -203,36 +173,8 @@ struct LiveTestbed::Impl final : public sim::ExecutorHost {
   /// EstimatedQueueDelay so admission estimates track waiting policies.
   std::atomic<std::int64_t> ewma_form_ns_{0};
 
-  std::thread ticker_;
-  std::thread snapshotter_;
-  std::thread timer_thread_;
+  std::thread executor_;
 };
-
-void LiveTestbed::Impl::OnLaunched(InstanceId id, SimDuration ready_delay) {
-  Worker& w = workers_.emplace_back();
-  w.thread = std::thread([this, id, &w, ready_delay] {
-    WorkerLoop(id, w, ready_delay);
-  });
-}
-
-void LiveTestbed::Impl::Wake(InstanceId id) {
-  std::condition_variable& cv = workers_[id].cv;
-  if (deferred_wakes_ == nullptr) {
-    cv.notify_one();
-    return;
-  }
-  if (std::find(deferred_wakes_->begin(), deferred_wakes_->end(), &cv) ==
-      deferred_wakes_->end()) {
-    deferred_wakes_->push_back(&cv);
-  }
-}
-
-void LiveTestbed::Impl::At(SimTime at, std::function<void()> fn) {
-  ARLO_CHECK_MSG(config_.fault_plan != nullptr,
-                 "deferred executor work needs the fault timer thread");
-  timers_.push(Timer{at, timer_seq_++, std::move(fn)});
-  timer_cv_.notify_one();
-}
 
 void LiveTestbed::Impl::OnServed(const RequestRecord& record, int batch) {
   records_.push_back(record);
@@ -251,100 +193,33 @@ void LiveTestbed::Impl::OnServed(const RequestRecord& record, int batch) {
   }
 }
 
-void LiveTestbed::Impl::WorkerLoop(InstanceId id, Worker& w,
-                                   SimDuration ready_delay) {
-  using Kind = sim::ExecutorCore::Start::Kind;
-  // Provisioning delay, then announce readiness.
-  if (ready_delay > 0) {
-    PreciseWaitUntil(
-        Clock::now() + std::chrono::nanoseconds(static_cast<std::int64_t>(
-                           static_cast<double>(ready_delay) *
-                           config_.time_scale)),
-        std::chrono::nanoseconds(config_.spin_threshold));
-  }
+void LiveTestbed::Impl::Loop() {
+  const std::chrono::nanoseconds spin(config_.spin_threshold);
   std::unique_lock lk(dispatch_mu_);
-  if (stopping_.load(std::memory_order_relaxed) || !core_.MarkReady(id)) {
-    return;
-  }
-  // Runs until the instance is retired or crashed (Wake notifies this cv
-  // either way) or the testbed shuts down.
-  while (!stopping_.load(std::memory_order_relaxed) && !core_.At(id).gone) {
-    const sim::ExecutorCore::Start start = core_.StartNext(id);
-    if (start.kind == Kind::kIdle) {
-      w.cv.wait(lk);
+  while (!stopping_) {
+    bool ran = false;
+    while (!events_.Empty() &&
+           SimToWall(events_.NextTime()) <= Clock::now()) {
+      events_.RunNext();
+      ran = true;
+    }
+    if (ran && core_.Settled() >= core_.Arrived()) all_done_cv_.notify_all();
+    kicked_ = false;
+    if (events_.Empty()) {
+      loop_cv_.wait(lk);
       continue;
     }
-    if (start.kind == Kind::kWait) {
-      // Waiting for the batch to fill; arrivals re-decide early.
-      w.cv.wait_until(lk, SimToWall(start.until));
+    const Clock::time_point due = SimToWall(events_.NextTime());
+    if (Clock::now() < due - spin) {
+      loop_cv_.wait_until(lk, due - spin);
       continue;
     }
-    if (!config_.generative) UpdateEwma(ewma_form_ns_, start.formation_wait);
-    // Sleep out the service time unlocked.  A crash meanwhile requeues the
-    // batch at once and turns the Complete below into a no-op.
+    // Spin out the last stretch unlocked, so submitters are not held up; an
+    // earlier event they schedule (or Finish) cuts the spin short.
     lk.unlock();
-    PreciseWaitUntil(SimToWall(start.until),
-                     std::chrono::nanoseconds(config_.spin_threshold));
+    while (Clock::now() < due && !kicked_) {
+    }
     lk.lock();
-    // A hang freezes the completion until its window ends; the cv wait lets
-    // a kill (e.g. the hang reaper) cut the freeze short.
-    for (SimTime frozen; (frozen = core_.Complete(id)) > 0;) {
-      w.cv.wait_until(lk, SimToWall(frozen));
-    }
-    if (core_.Settled() >= core_.Arrived()) all_done_cv_.notify_all();
-  }
-}
-
-void LiveTestbed::Impl::TimerLoop() {
-  std::unique_lock lk(dispatch_mu_);
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    if (timers_.empty()) {
-      timer_cv_.wait(lk);
-    } else if (Now() < timers_.top().at) {
-      timer_cv_.wait_until(lk, SimToWall(timers_.top().at));
-    } else {
-      const std::function<void()> fn = timers_.top().fn;
-      timers_.pop();
-      fn();
-    }
-  }
-}
-
-void LiveTestbed::Impl::SnapshotLoop() {
-  const SimDuration period = config_.telemetry->SnapshotPeriod();
-  ARLO_CHECK(period > 0);
-  SimTime next = period;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    if (PreciseWaitUntilOrStopped(SimToWall(next),
-                                  std::chrono::nanoseconds(
-                                      config_.spin_threshold),
-                                  stopping_)) {
-      return;
-    }
-    // Stamp the scheduled grid time, not the jittery wake time: the sim
-    // engine snapshots at exact multiples of the period on virtual time, so
-    // stamping `next` keeps testbed CSV rows on the same monotonic grid
-    // (one clock convention for the series).  The final row, taken in
-    // Finish(), is stamped Now() — matching the engine's end-of-run row.
-    config_.telemetry->Snapshot(next);
-    next += period;
-  }
-}
-
-void LiveTestbed::Impl::TickLoop() {
-  const SimDuration interval = scheme_.TickInterval();
-  SimTime next = interval;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    if (PreciseWaitUntilOrStopped(SimToWall(next),
-                                  std::chrono::nanoseconds(
-                                      config_.spin_threshold),
-                                  stopping_)) {
-      return;
-    }
-    std::lock_guard global(dispatch_mu_);
-    scheme_.OnTick(Now(), core_);
-    core_.RetryBuffered();
-    next += interval;
   }
 }
 
@@ -355,24 +230,15 @@ void LiveTestbed::Impl::Start() {
   {
     std::lock_guard global(dispatch_mu_);
     core_.Setup();
-    core_.ArmFaults();
+    ArmRecurring();
   }
-  ticker_ = std::thread([this] { TickLoop(); });
-  if (config_.telemetry) {
-    snapshotter_ = std::thread([this] { SnapshotLoop(); });
-  }
-  if (config_.fault_plan) {
-    timer_thread_ = std::thread([this] { TimerLoop(); });
-  }
+  executor_ = std::thread([this] { Loop(); });
 }
 
 void LiveTestbed::Impl::Submit(Submission* batch, std::size_t n) {
   submitted_rel_.fetch_add(static_cast<std::int64_t>(n),
                            std::memory_order_relaxed);
-  std::vector<std::condition_variable*> woken;
-  {
-    std::lock_guard global(dispatch_mu_);
-    deferred_wakes_ = &woken;
+  Locked([&] {
     for (std::size_t i = 0; i < n; ++i) {
       const Request& request = batch[i].request;
       if (!mix_counts_.empty()) {
@@ -390,26 +256,23 @@ void LiveTestbed::Impl::Submit(Submission* batch, std::size_t n) {
       }
       core_.Arrive(request);
     }
-    deferred_wakes_ = nullptr;
-  }
-  // The arrivals are visible under the lock, so a worker that wakes (or
-  // checks before waiting) finds them; notifying unlocked just spares it a
-  // block on dispatch_mu_.
-  for (std::condition_variable* cv : woken) cv->notify_one();
+  });
 }
 
 bool LiveTestbed::Impl::ApplyAllocation(const std::vector<int>& allocation) {
-  std::lock_guard global(dispatch_mu_);
-  const bool ok = scheme_.ApplyExternalAllocation(allocation, core_);
-  if (ok) {
-    ++reallocs_applied_;
-    last_realloc_ = Now();
-    // The new target may have retired workers and requeued their work;
-    // give the buffer a chance to land on survivors immediately.
-    core_.RetryBuffered();
-  } else {
-    ++reallocs_rejected_;
-  }
+  bool ok = false;
+  Locked([&] {
+    ok = scheme_.ApplyExternalAllocation(allocation, core_);
+    if (ok) {
+      ++reallocs_applied_;
+      last_realloc_ = Now();
+      // The new target may have retired workers and requeued their work;
+      // give the buffer a chance to land on survivors immediately.
+      core_.RetryBuffered();
+    } else {
+      ++reallocs_rejected_;
+    }
+  });
   return ok;
 }
 
@@ -533,23 +396,13 @@ TestbedResult LiveTestbed::Impl::Finish() {
   finished_ = true;
   Drain();
   {
-    std::lock_guard global(dispatch_mu_);  // pairs with the cv waits
-    stopping_.store(true, std::memory_order_relaxed);
-  }
-  timer_cv_.notify_all();
-  ticker_.join();
-  if (timer_thread_.joinable()) timer_thread_.join();
-  if (snapshotter_.joinable()) snapshotter_.join();
-  if (config_.telemetry) config_.telemetry->Snapshot(Now());  // final row
-
-  // Nothing launches instances any more: wake every worker to exit.
-  {
     std::lock_guard global(dispatch_mu_);
-    for (Worker& w : workers_) w.cv.notify_all();
+    stopping_ = true;
+    kicked_ = true;
   }
-  for (Worker& w : workers_) {
-    if (w.thread.joinable()) w.thread.join();
-  }
+  loop_cv_.notify_one();
+  executor_.join();
+  if (config_.telemetry) config_.telemetry->Snapshot(Now());  // final row
 
   TestbedResult out;
   static_cast<sim::ExecutorCounters&>(out) = core_.Counters();
@@ -607,29 +460,6 @@ void LiveTestbed::WriteStatusJson(std::ostream& os) {
 void LiveTestbed::Drain() { impl_->Drain(); }
 
 TestbedResult LiveTestbed::Finish() { return impl_->Finish(); }
-
-namespace {
-
-/// Waits until `deadline` in <= 50 ms slices, returning early (true) when
-/// `cancel` fires — the trace replay loop's interruptible arrival wait.
-bool CancellableWaitUntil(Clock::time_point deadline,
-                          std::chrono::nanoseconds spin,
-                          const std::atomic<bool>* cancel) {
-  constexpr auto kSlice = std::chrono::milliseconds(50);
-  for (;;) {
-    if (cancel && cancel->load(std::memory_order_relaxed)) return true;
-    const auto now = Clock::now();
-    if (now >= deadline) return false;
-    if (deadline - now > kSlice) {
-      std::this_thread::sleep_for(kSlice);
-      continue;
-    }
-    PreciseWaitUntil(deadline, spin);
-    return false;
-  }
-}
-
-}  // namespace
 
 TestbedResult RunTestbed(const trace::Trace& trace, sim::Scheme& scheme,
                          const TestbedConfig& config) {

@@ -1,18 +1,17 @@
-// Live (open-ended) testbed: the same worker-thread/dispatch machinery that
-// RunTestbed drives from a trace, exposed as a submission API so an external
-// frontend — the src/net TCP server, or any in-process producer — can feed
-// requests at wall-clock time and observe completions through callbacks.
+// Live (open-ended) testbed: the same wall-clock executor that RunTestbed
+// drives from a trace, exposed as a submission API so an external frontend —
+// the src/net TCP server, or any in-process producer — can feed requests at
+// wall-clock time and observe completions through callbacks.
 //
-// Lifecycle: Start() deploys the scheme and spawns the ticker / telemetry
-// snapshotter / fault timer; Submit() / SubmitAll() hand requests to the
-// dispatcher (thread-safe, any producer thread); Finish() waits for every
-// submitted request to complete, stops the machinery, and returns the
-// records.
+// Lifecycle: Start() deploys the scheme and starts the executor thread;
+// Submit() / SubmitAll() hand requests to the dispatcher (thread-safe, any
+// producer thread); Finish() waits for every submitted request to complete,
+// joins the executor thread, and returns the records.
 //
-// Completion callbacks run on the worker thread that finished the request,
-// with the dispatch mutex held: they must be fast, must not block, and must
-// not call back into the LiveTestbed (push to a queue and return — the
-// src/net server hands replies to its event loop exactly that way).
+// Completion callbacks run on the executor thread, with the dispatch mutex
+// held: they must be fast, must not block, and must not call back into the
+// LiveTestbed (push to a queue and return — the src/net server hands
+// replies to its event loop exactly that way).
 #pragma once
 
 #include <functional>
@@ -52,8 +51,8 @@ class LiveTestbed {
   LiveTestbed(const LiveTestbed&) = delete;
   LiveTestbed& operator=(const LiveTestbed&) = delete;
 
-  /// Deploys the scheme's initial instances and starts the background
-  /// threads.  The wall clock of SimTime 0 is captured here.
+  /// Deploys the scheme's initial instances and starts the executor
+  /// thread.  The wall clock of SimTime 0 is captured here.
   void Start();
 
   /// Scaled wall-clock time since Start().
@@ -73,8 +72,8 @@ class LiveTestbed {
 
   /// Submits a batch, in order, under one acquisition of the dispatch lock;
   /// each element behaves exactly as Submit(request, done) would.  The
-  /// worker threads the batch hands work to are notified once each, after
-  /// the lock is released, so a woken worker never blocks on the submitter.
+  /// executor thread is notified at most once, after the lock is released,
+  /// and only when the batch moved its next event earlier.
   /// The net server's event loop calls this once per loop pass with every
   /// request the pass admitted.  Consumes `batch`: the callbacks are moved
   /// out and the vector is left empty with its capacity kept for reuse.
@@ -115,7 +114,7 @@ class LiveTestbed {
   /// Blocks until every submitted request has completed.
   void Drain();
 
-  /// Drain, stop background threads, join workers, and collect results.
+  /// Drain, stop and join the executor thread, and collect results.
   /// Submit must not be called after (or concurrently with) Finish.
   TestbedResult Finish();
 

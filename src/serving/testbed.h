@@ -1,21 +1,22 @@
 // Threaded testbed emulation: the wall-clock counterpart of the simulator.
 //
-// Each GPU instance is a dedicated worker thread that holds a batch for its
-// modeled compute time (precise hybrid sleep+spin waiting); the trace is
-// replayed in (optionally compressed) real time.  Execution itself —
-// dispatch, batching, faults, records — is the sim::ExecutorCore the
-// simulator runs too, so the same Scheme implementations and the same
-// executor logic run on both substrates, which is what the §5.2.1
-// calibration experiment compares.
+// The simulator's event-queue shell (sim::EventShell) on the wall clock:
+// one executor thread runs each event (a batch completing after its modeled
+// compute time, readiness, re-polls, ticks, snapshots, faults) when its
+// scaled time comes, sleeping then spinning the last stretch; the trace is
+// replayed in (optionally compressed) real time.  Execution itself is the
+// sim::ExecutorCore the simulator runs too, so the same Scheme
+// implementations and executor logic run on both substrates, which is what
+// the §5.2.1 calibration experiment compares.
 //
 // This header declares the shared config/result types and the trace-replay
 // entry point; the machinery itself lives behind the LiveTestbed submission
 // API in live_testbed.h so the src/net frontend can drive it over sockets.
 //
-// Locking: one mutex.  Every core call, scheme call and state change happens
-// under the testbed's dispatch mutex.  Workers and the fault timer thread
-// wait on condition variables bound to it; a worker drops it only to sleep
-// out a service time.  Frontend threads read load estimates lock-free.
+// Threads and locking: one background thread, one mutex.  Every core call,
+// scheme call and state change happens under the dispatch mutex, on the
+// executor thread or on a caller's (a submission may start an idle
+// instance's batch).  Frontend threads read load estimates lock-free.
 #pragma once
 
 #include "common/types.h"
@@ -32,11 +33,10 @@ namespace arlo::serving {
 /// The testbed's configuration: the shared executor knobs (see
 /// sim::ExecutorConfig — batching, generative mode, telemetry, faults,
 /// tenants) plus the knobs only a wall-clock run has.  Testbed notes on the
-/// shared knobs: a waiting batch policy waits on the worker's condition
-/// variable, so kills, retirement and arrivals interrupt it; the telemetry
-/// sink must be Concurrency::kMultiThreaded and is snapshotted by a
-/// wall-clock thread; fault-plan events, retries and health checks run on a
-/// timer thread; `resilience.shed_deadline` is ignored.
+/// shared knobs: the telemetry sink must be Concurrency::kMultiThreaded
+/// (submitting threads record too); batch re-polls, snapshots, fault-plan
+/// events, retries and health checks run on the executor thread;
+/// `resilience.shed_deadline` is ignored.
 struct TestbedConfig : sim::ExecutorConfig {
   /// Wall-clock seconds per simulated second.  1.0 = real time; 0.1 runs
   /// 10x compressed (all compute times and delays shrink together, so

@@ -1,36 +1,25 @@
 #include "sim/engine.h"
 
 #include "common/check.h"
-#include "sim/event_queue.h"
 #include "telemetry/sink.h"
 
 namespace arlo::sim {
 namespace {
 
-/// The event-queue shell around the executor core: every core callback and
-/// every priced service time becomes an event on simulated time.
-class Engine final : public ExecutorHost {
+/// The simulator: the executor's event-queue shell on simulated time, plus
+/// the trace's arrivals and the run loop.
+class Engine final : public EventShell {
  public:
   Engine(const trace::Trace& trace, Scheme& scheme, const EngineConfig& config)
-      : trace_(trace),
-        config_(config),
-        core_(scheme, config, *this, CoreOptions(config)),
-        scheme_(scheme) {
+      : EventShell(scheme, config, CoreOptions(config)),
+        trace_(trace),
+        config_(config) {
     if (config_.collect_records) records_.reserve(trace_.Size());
   }
 
   EngineResult Run();
 
-  // ExecutorHost:
   SimTime Now() const override { return events_.Now(); }
-  void OnLaunched(InstanceId id, SimDuration ready_delay) override {
-    batch_timer_at_.push_back(0);
-    events_.Schedule(Now() + ready_delay, [this, id] { core_.MarkReady(id); });
-  }
-  void Wake(InstanceId id) override { MaybeStartNext(id); }
-  void At(SimTime at, std::function<void()> fn) override {
-    events_.Schedule(at, std::move(fn));
-  }
   void OnServed(const RequestRecord& record, int /*batch*/) override {
     if (config_.collect_records) records_.push_back(record);
   }
@@ -44,57 +33,13 @@ class Engine final : public ExecutorHost {
     return options;
   }
 
-  void MaybeStartNext(InstanceId id);
-  void ScheduleBatchTimer(InstanceId id, SimTime at);
-  void CompleteAt(InstanceId id, SimTime at);
   void ScheduleNextArrival();
-  void ScheduleTick();
-  void ScheduleSnapshot();
 
   const trace::Trace& trace_;
   EngineConfig config_;
-  EventQueue events_;
-  ExecutorCore core_;
-  Scheme& scheme_;
   std::vector<RequestRecord> records_;
   std::size_t next_arrival_ = 0;
-  /// Per instance: the pending batch-formation re-poll (0 = none).  Any
-  /// launch or an earlier timer supersedes a later one.
-  std::vector<SimTime> batch_timer_at_;
 };
-
-void Engine::MaybeStartNext(InstanceId id) {
-  const ExecutorCore::Start start = core_.StartNext(id);
-  switch (start.kind) {
-    case ExecutorCore::Start::Kind::kIdle:
-      break;
-    case ExecutorCore::Start::Kind::kWait:
-      ScheduleBatchTimer(id, start.until);
-      break;
-    case ExecutorCore::Start::Kind::kRun:
-      batch_timer_at_[id] = 0;
-      CompleteAt(id, start.until);
-      break;
-  }
-}
-
-void Engine::CompleteAt(InstanceId id, SimTime at) {
-  events_.Schedule(at, [this, id] {
-    const SimTime frozen_until = core_.Complete(id);
-    if (frozen_until > 0) CompleteAt(id, frozen_until);
-  });
-}
-
-void Engine::ScheduleBatchTimer(InstanceId id, SimTime at) {
-  // An earlier pending timer already covers this re-poll.
-  if (batch_timer_at_[id] != 0 && batch_timer_at_[id] <= at) return;
-  batch_timer_at_[id] = at;
-  events_.Schedule(at, [this, id, at] {
-    if (batch_timer_at_[id] != at) return;  // superseded
-    batch_timer_at_[id] = 0;
-    MaybeStartNext(id);
-  });
-}
 
 void Engine::ScheduleNextArrival() {
   if (next_arrival_ >= trace_.Size()) return;
@@ -106,31 +51,10 @@ void Engine::ScheduleNextArrival() {
   });
 }
 
-void Engine::ScheduleSnapshot() {
-  const SimDuration period = config_.telemetry->SnapshotPeriod();
-  ARLO_CHECK(period > 0);
-  events_.Schedule(Now() + period, [this] {
-    config_.telemetry->Snapshot(Now());
-    ScheduleSnapshot();
-  });
-}
-
-void Engine::ScheduleTick() {
-  const SimDuration interval = scheme_.TickInterval();
-  ARLO_CHECK(interval > 0);
-  events_.Schedule(Now() + interval, [this] {
-    scheme_.OnTick(Now(), core_);
-    core_.RetryBuffered();
-    ScheduleTick();
-  });
-}
-
 EngineResult Engine::Run() {
   core_.Setup();
   ScheduleNextArrival();
-  ScheduleTick();
-  core_.ArmFaults();
-  if (config_.telemetry) ScheduleSnapshot();
+  ArmRecurring();
 
   // Recurring events (ticks, snapshots, health checks, random crashes)
   // reschedule themselves forever; the run ends with the last request.

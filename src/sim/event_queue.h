@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -28,6 +29,11 @@ class EventQueue {
   SimTime Now() const { return now_; }
 
   bool Empty() const { return heap_.empty(); }
+  /// Time of the earliest pending event; the largest SimTime when none is.
+  SimTime NextTime() const {
+    return heap_.empty() ? std::numeric_limits<SimTime>::max()
+                         : heap_.top().time;
+  }
   std::size_t Size() const { return heap_.size(); }
 
  private:

@@ -8,7 +8,7 @@
 namespace arlo::sim {
 
 ExecutorCore::ExecutorCore(Scheme& scheme, const ExecutorConfig& config,
-                           ExecutorHost& host, const Options& options)
+                           EventShell& host, const Options& options)
     : scheme_(scheme),
       config_(config),
       host_(host),
@@ -24,6 +24,8 @@ ExecutorCore::ExecutorCore(Scheme& scheme, const ExecutorConfig& config,
     policy_ = owned_policy_.get();
   }
 }
+
+SimTime ExecutorCore::Now() const { return host_.Now(); }
 
 bool ExecutorCore::TrackHealth() const {
   return config_.fault_plan != nullptr || options_.always_track_health;
@@ -602,6 +604,75 @@ void ExecutorCore::UpdateGenGauges() {
     capacity += inst.gen->KvCapacity();
   }
   config_.telemetry->SetGenKvGauges(resident, capacity);
+}
+
+EventShell::EventShell(Scheme& scheme, const ExecutorConfig& config,
+                       const ExecutorCore::Options& options)
+    : core_(scheme, config, *this, options),
+      scheme_(scheme),
+      telemetry_(config.telemetry) {}
+
+void EventShell::OnLaunched(InstanceId id, SimDuration ready_delay) {
+  batch_timer_at_.push_back(0);
+  events_.Schedule(Now() + ready_delay, [this, id] { core_.MarkReady(id); });
+}
+
+void EventShell::Wake(InstanceId id) {
+  const ExecutorCore::Start start = core_.StartNext(id);
+  switch (start.kind) {
+    case ExecutorCore::Start::Kind::kIdle:
+      break;
+    case ExecutorCore::Start::Kind::kWait:
+      ScheduleBatchTimer(id, start.until);
+      break;
+    case ExecutorCore::Start::Kind::kRun:
+      batch_timer_at_[id] = 0;
+      OnStarted(start);
+      CompleteAt(id, start.until);
+      break;
+  }
+}
+
+void EventShell::CompleteAt(InstanceId id, SimTime at) {
+  events_.Schedule(at, [this, id] {
+    const SimTime frozen_until = core_.Complete(id);
+    if (frozen_until > 0) CompleteAt(id, frozen_until);
+  });
+}
+
+void EventShell::ScheduleBatchTimer(InstanceId id, SimTime at) {
+  // An earlier pending timer already covers this re-poll.
+  if (batch_timer_at_[id] != 0 && batch_timer_at_[id] <= at) return;
+  batch_timer_at_[id] = at;
+  events_.Schedule(at, [this, id, at] {
+    if (batch_timer_at_[id] != at) return;  // superseded
+    batch_timer_at_[id] = 0;
+    Wake(id);
+  });
+}
+
+void EventShell::ArmRecurring() {
+  const SimDuration interval = scheme_.TickInterval();
+  ARLO_CHECK(interval > 0);
+  Every(interval, interval, [this](SimTime) {
+    scheme_.OnTick(Now(), core_);
+    core_.RetryBuffered();
+  });
+  core_.ArmFaults();
+  if (telemetry_ == nullptr) return;
+  const SimDuration period = telemetry_->SnapshotPeriod();
+  ARLO_CHECK(period > 0);
+  // Stamped with the scheduled time, so a late wake on the wall clock
+  // leaves the series on exact multiples of the period.
+  Every(period, period, [this](SimTime at) { telemetry_->Snapshot(at); });
+}
+
+void EventShell::Every(SimTime at, SimDuration period,
+                       std::function<void(SimTime)> fn) {
+  events_.Schedule(at, [this, at, period, fn = std::move(fn)]() mutable {
+    fn(at);
+    Every(at + period, period, std::move(fn));
+  });
 }
 
 }  // namespace arlo::sim

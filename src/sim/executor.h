@@ -12,12 +12,13 @@
 // retirement, crash + requeue, hangs, slowdowns, hang reaping and deadline
 // shedding.
 //
-// A substrate is the clock and the waiting.  It implements ExecutorHost and
-// drives the core: it calls MarkReady when a launched instance has
-// provisioned, StartNext when an instance may run, and Complete when the
-// service time StartNext priced has elapsed.  The simulator turns those into
-// events; the testbed into worker threads that sleep, all under one mutex.
-// The core itself is single-threaded: the caller serializes every call.
+// A substrate is the clock.  Both drive the core through one EventShell
+// (below): it calls MarkReady when a launched instance has provisioned,
+// StartNext when an instance may run, and Complete when the service time
+// StartNext priced has elapsed, each as an event on an EventQueue.  The
+// simulator runs that queue on simulated time; the testbed on the wall clock
+// from one executor thread, under one mutex.  The core itself is
+// single-threaded: the caller serializes every call.
 //
 // Invariant, checked after every public mutation:
 //   arrived == completed + shed + outstanding + buffered + deferred retries
@@ -37,6 +38,7 @@
 #include "fault/fault_plan.h"
 #include "fault/health.h"
 #include "fault/retry.h"
+#include "sim/event_queue.h"
 #include "sim/scheme.h"
 #include "sim/timeline.h"
 #include "tenant/class_table.h"
@@ -115,25 +117,7 @@ struct ExecutorCounters {
   std::uint64_t gen_preemptions = 0;         ///< KV evictions (recompute)
 };
 
-/// What a substrate provides to the core.
-class ExecutorHost {
- public:
-  virtual ~ExecutorHost() = default;
-  virtual SimTime Now() const = 0;
-  /// Instance `id` was launched: call ExecutorCore::MarkReady after
-  /// `ready_delay`.
-  virtual void OnLaunched(InstanceId id, SimDuration ready_delay) = 0;
-  /// Instance `id` may have work to start, or has just gone away: call
-  /// ExecutorCore::StartNext (now, or as soon as its runner is free).
-  virtual void Wake(InstanceId id) = 0;
-  /// Run `fn` (a deferred retry, a fault event or window end, a health
-  /// check) at time `at`.
-  virtual void At(SimTime at, std::function<void()> fn) = 0;
-  /// A request was served.  `batch` is the size of the one-shot batch it
-  /// shared (1 for a generative sequence).  Records are the substrate's to
-  /// keep.
-  virtual void OnServed(const RequestRecord& record, int batch) = 0;
-};
+class EventShell;
 
 class ExecutorCore final : public ClusterOps {
  public:
@@ -196,7 +180,7 @@ class ExecutorCore final : public ClusterOps {
   };
 
   ExecutorCore(Scheme& scheme, const ExecutorConfig& config,
-               ExecutorHost& host, const Options& options);
+               EventShell& host, const Options& options);
 
   // ClusterOps (the scheme's view).  NumInstances is also safe to call
   // without the caller's serialization (a relaxed read).
@@ -208,12 +192,12 @@ class ExecutorCore final : public ClusterOps {
     return active_.load(std::memory_order_relaxed);
   }
   int OutstandingOn(InstanceId id) const override;
-  SimTime Now() const override { return host_.Now(); }
+  SimTime Now() const override;
 
   /// Injects telemetry into the scheme and deploys its initial instances.
   void Setup();
   /// Schedules the fault plan's events, random crashes (plan or legacy
-  /// knobs) and periodic health checks through ExecutorHost::At.
+  /// knobs) and periodic health checks through EventShell::At.
   void ArmFaults();
   /// A new request enters (its first dispatch attempt).
   void Arrive(const Request& request);
@@ -279,7 +263,7 @@ class ExecutorCore final : public ClusterOps {
 
   Scheme& scheme_;
   ExecutorConfig config_;
-  ExecutorHost& host_;
+  EventShell& host_;
   Options options_;
   std::unique_ptr<batch::BatchPolicy> owned_policy_;  ///< default greedy
   const batch::BatchPolicy* policy_ = nullptr;
@@ -299,6 +283,57 @@ class ExecutorCore final : public ClusterOps {
   int outstanding_ = 0;       ///< dispatched to an instance, not completed
   std::atomic<int> active_{0};
   SimTime last_count_change_ = 0;
+};
+
+/// The event-queue shell around the core, shared by both substrates: a
+/// launch becomes a MarkReady event, a Wake starts the instance's next batch
+/// at once, a priced service time becomes a completion event (re-armed while
+/// a hang freezes it), a waiting batch policy a re-poll event, and ticks and
+/// snapshots recur.  A substrate supplies the clock, keeps the records and
+/// runs the queue's events when their time comes.
+class EventShell {
+ public:
+  virtual ~EventShell() = default;
+  virtual SimTime Now() const = 0;
+  /// A request was served.  `batch` is the size of the one-shot batch it
+  /// shared (1 for a generative sequence).
+  virtual void OnServed(const RequestRecord& record, int batch) = 0;
+
+  // Called by the core.
+  /// Instance `id` was launched: MarkReady after `ready_delay`.
+  void OnLaunched(InstanceId id, SimDuration ready_delay);
+  /// Instance `id` may have work to start, or has just gone away: starts it.
+  void Wake(InstanceId id);
+  /// Runs `fn` (a deferred retry, a fault event or window end, a health
+  /// check) at time `at`.
+  void At(SimTime at, std::function<void()> fn) {
+    events_.Schedule(at, std::move(fn));
+  }
+
+ protected:
+  EventShell(Scheme& scheme, const ExecutorConfig& config,
+             const ExecutorCore::Options& options);
+  /// Schedules the recurring scheme tick, the fault plan and, with a
+  /// telemetry sink, the recurring snapshot.  Call once, after Setup.
+  void ArmRecurring();
+  /// A batch or iteration started: `start` is StartNext's kRun verdict.
+  virtual void OnStarted(const ExecutorCore::Start& /*start*/) {}
+
+  EventQueue events_;
+  ExecutorCore core_;
+  Scheme& scheme_;
+
+ private:
+  void ScheduleBatchTimer(InstanceId id, SimTime at);
+  void CompleteAt(InstanceId id, SimTime at);
+  /// Runs `fn(t)` at t = `at`, `at` + `period`, ...: an exact grid, however
+  /// late a wall-clock event ran.
+  void Every(SimTime at, SimDuration period, std::function<void(SimTime)> fn);
+
+  telemetry::TelemetrySink* telemetry_;
+  /// Per instance: the pending batch-formation re-poll (0 = none).  Any
+  /// launch or an earlier timer supersedes a later one.
+  std::vector<SimTime> batch_timer_at_;
 };
 
 }  // namespace arlo::sim

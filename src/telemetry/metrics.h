@@ -3,10 +3,10 @@
 // handful of relaxed atomic operations and never touch the registry again
 // after the first lookup.
 //
-// Concurrency model.  The threaded testbed records from every worker thread
-// plus the frontend while the dispatch mutex is hot, so counters and
-// histograms shard their cells across cache lines and threads pick a shard
-// from a per-thread token (no CAS loops, no false sharing).  The
+// Concurrency model.  The threaded testbed records from its executor thread
+// and every submitting thread, the frontend records from its own, so
+// counters and histograms shard their cells across cache lines and threads
+// pick a shard from a per-thread token (no CAS loops, no false sharing).  The
 // deterministic simulator is single-threaded; constructing the registry with
 // Concurrency::kSingleThreaded collapses every metric to one shard and skips
 // the thread-token load on each record.  Both modes are correct under any

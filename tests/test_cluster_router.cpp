@@ -22,6 +22,7 @@
 #include "cluster/router_admin.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/admin_server.h"
 #include "obs/http.h"
 #include "serving/live_testbed.h"
 #include "telemetry/sink.h"
@@ -746,6 +747,96 @@ TEST(ClusterRouter, ProbeFailureEvictsAndShedsExplicitly) {
   EXPECT_GE(sink.Cluster().probe_failures->Value(), 2u);
   EXPECT_EQ(sink.Cluster().evictions->Value(), 1u);
 
+  router.Stop();
+}
+
+/// A node /statusz body with every field the probe parser requires.
+constexpr const char* kNodeStatusz =
+    "{\"time_s\":1.0,\"submitted\":4,\"completed\":4,\"inflight\":0,"
+    "\"buffered\":0,\"live_workers\":1,\"est_queue_delay_ns\":0}";
+
+/// An admin plane answering /healthz with 200 and /statusz with `statusz`.
+std::unique_ptr<obs::AdminServer> FakeAdmin(std::string statusz) {
+  auto admin = std::make_unique<obs::AdminServer>();
+  admin->Route("GET", "/healthz", [](const obs::HttpRequest&) {
+    return obs::HttpResponse{200, "application/json", "{\"ok\":true}"};
+  });
+  admin->Route("GET", "/statusz", [statusz](const obs::HttpRequest&) {
+    return obs::HttpResponse{200, "application/json", statusz};
+  });
+  admin->Start();
+  return admin;
+}
+
+// One node whose admin plane accepts and never answers (a stopped process)
+// must neither stall probing of the others nor escape eviction: every fetch
+// gives up at its deadline and counts as a failed probe.
+TEST(ClusterRouter, SilentAdminPlaneNeitherStallsProbingNorEscapesEviction) {
+  FakeBackend silent_node(FakeBackend::Mode::kEcho);
+  FakeBackend good_node(FakeBackend::Mode::kEcho);
+  net::ScopedFd silent_admin = net::ListenTcp(0);
+  const auto good_admin = FakeAdmin(kNodeStatusz);
+
+  RouterConfig rc;
+  rc.policy = "rr";
+  rc.nodes = {{"silent", silent_node.Port(), net::LocalPort(silent_admin.Get())},
+              {"good", good_node.Port(), good_admin->Port()}};
+  rc.probe_period = std::chrono::milliseconds(10);
+  rc.probe_failures_to_evict = 2;
+  Router router(rc);
+  router.Start();
+
+  const bool evicted = WaitFor(
+      [&] { return router.Pool().Status()[0].state == NodeState::kEvicted; },
+      2 * obs::kHttpFetchDeadline + 3000ms);
+  const std::uint64_t probes = good_admin->GetStats().requests;
+  const bool still_probed = WaitFor(
+      [&] { return good_admin->GetStats().requests >= probes + 4; }, 2000ms);
+  // A prober stuck on an unbounded fetch is released by the reset, so the
+  // test fails instead of hanging in Stop.
+  silent_admin.Reset();
+  EXPECT_TRUE(evicted);
+  EXPECT_TRUE(still_probed);
+  EXPECT_EQ(router.Pool().Status()[0].down_reason,
+            "2 consecutive failed probes");
+  EXPECT_EQ(router.Pool().Status()[1].state, NodeState::kHealthy);
+  router.Stop();
+}
+
+// /fleetz splices a node's /statusz only when the probe parser accepts it:
+// a truncated body is listed as unreachable and the document stays valid.
+TEST(ClusterRouter, FleetzListsATruncatedStatuszAsUnreachable) {
+  FakeBackend cut_node(FakeBackend::Mode::kEcho);
+  FakeBackend good_node(FakeBackend::Mode::kEcho);
+  // A statusz cut off mid-write (its own numbers, so a find tells it apart
+  // from the good node's body).
+  const std::string cut = "{\"time_s\":2.5,\"submitted\":9,\"comp";
+  const auto cut_admin = FakeAdmin(cut);
+  const auto good_admin = FakeAdmin(kNodeStatusz);
+
+  RouterConfig rc;
+  rc.policy = "rr";
+  rc.nodes = {{"cut", cut_node.Port(), cut_admin->Port()},
+              {"good", good_node.Port(), good_admin->Port()}};
+  rc.probe_period = std::chrono::hours(1);  // /fleetz fetches on its own
+  Router router(rc);
+  router.Start();
+  auto admin = MakeRouterAdmin(router, nullptr);
+  admin->Start();
+
+  const obs::HttpResult fleet = obs::HttpFetch(admin->Port(), "GET", "/fleetz");
+  ASSERT_TRUE(fleet.ok);
+  EXPECT_EQ(fleet.body.find(cut), std::string::npos) << fleet.body;
+  EXPECT_NE(fleet.body.find("\"admin_port\":" +
+                            std::to_string(cut_admin->Port()) +
+                            ",\"state\":\"healthy\",\"reachable\":false}"),
+            std::string::npos)
+      << fleet.body;
+  EXPECT_NE(fleet.body.find(std::string("\"reachable\":true,\"statusz\":") +
+                            kNodeStatusz),
+            std::string::npos)
+      << fleet.body;
+  admin->Stop();
   router.Stop();
 }
 

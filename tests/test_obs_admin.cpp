@@ -1,20 +1,27 @@
 // Admin-plane loopback integration: AdminServer/AdminPlane over real
-// sockets on 127.0.0.1 against a live testbed.  These run under TSan and
-// ASan in check.sh (ObsAdmin.* is in both filters), so they double as the
-// data-race / lifetime proof for the introspection plane: scrapes race
-// worker threads mutating the very registries and rings being serialized.
+// sockets on 127.0.0.1 against a live testbed.  These run under TSan
+// (ObsAdmin* is in its filter) and ASan in check.sh, so they double as the
+// data-race / lifetime proof for the introspection plane: scrapes race the
+// testbed's threads mutating the very registries and rings being
+// serialized.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <cctype>
+#include <chrono>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/scenario.h"
+#include "net/socket.h"
 #include "obs/admin_server.h"
 #include "obs/flight_recorder.h"
 #include "obs/http.h"
+#include "obs/probe.h"
 #include "obs/slo_monitor.h"
 #include "serving/live_testbed.h"
 #include "telemetry/sink.h"
@@ -225,7 +232,7 @@ TEST_F(ObsAdminPlaneTest, SloBurnRisesUnderOverload) {
   EXPECT_NE(before.body.find("\"burn_rate\":0,"), std::string::npos)
       << before.body;
   // Overload: violating completions through the sink's observer fan-out —
-  // the same path worker threads use.
+  // the same path the testbed's threads use.
   for (int i = 0; i < 50; ++i) {
     RequestRecord rec;
     rec.id = 100000 + static_cast<RequestId>(i);
@@ -387,6 +394,53 @@ TEST(ObsAdmin, ReallocVerbParsesAppliesAndRejects) {
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.status, 503);
   none.Stop();
+}
+
+// ---------------------------------------------------------------- ObsFetch
+
+using namespace std::chrono_literals;
+
+// An admin plane that accepts and never answers (a stopped process: the
+// kernel completes the handshake, nobody reads) costs a probe at most the
+// fetch deadline, and reads as unreachable.
+TEST(ObsFetch, GivesUpOnASilentListener) {
+  net::ScopedFd silent = net::ListenTcp(0);
+  const std::uint16_t port = net::LocalPort(silent.Get());
+  const auto start = std::chrono::steady_clock::now();
+  auto probe = std::async(std::launch::async,
+                          [port] { return ProbeAdminEndpoint(port); });
+  const bool bounded = probe.wait_for(kHttpFetchDeadline + 2s) ==
+                       std::future_status::ready;
+  // An unbounded fetch would wait forever; closing the listener resets its
+  // connection, so the test fails instead of hanging the suite.
+  if (!bounded) silent.Reset();
+  EXPECT_TRUE(bounded);
+  EXPECT_FALSE(probe.get().reachable);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, kHttpFetchDeadline);
+}
+
+// A response whose body stops short of its Content-Length (the peer died
+// mid-write) is a failed fetch, not a short answer.
+TEST(ObsFetch, BodyShorterThanContentLengthFails) {
+  net::ScopedFd listener = net::ListenTcp(0);
+  const std::uint16_t port = net::LocalPort(listener.Get());
+  std::thread server([&listener] {
+    net::ScopedFd conn(::accept(listener.Get(), nullptr, nullptr));
+    std::string request;
+    char buf[1024];
+    while (request.find("\r\n\r\n") == std::string::npos) {
+      const ssize_t n = ::recv(conn.Get(), buf, sizeof(buf), 0);
+      if (n <= 0) return;
+      request.append(buf, static_cast<std::size_t>(n));
+    }
+    const std::string answer =
+        "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n"
+        "Connection: close\r\n\r\n{\"time_s\":1";
+    (void)::send(conn.Get(), answer.data(), answer.size(), MSG_NOSIGNAL);
+  });
+  const HttpResult result = HttpFetch(port, "GET", "/statusz");
+  server.join();
+  EXPECT_FALSE(result.ok);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "fault/fault_plan.h"
 #include "serving/live_testbed.h"
 #include "sim/engine.h"
+#include "telemetry/sink.h"
 #include "trace/twitter.h"
 
 namespace arlo::serving {
@@ -26,6 +28,30 @@ trace::Trace TinyTrace(double rate, double duration_s, std::uint64_t seed) {
   config.mean_rate = rate;
   config.seed = seed;
   return trace::SynthesizeTwitterTrace(config);
+}
+
+/// Threads of this process: the entries of /proc/self/task.
+int ThreadCount() {
+  int n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Replays `t` into `testbed` at its arrival times and returns the most
+/// threads this process ran at any submission.
+int ReplayCountingThreads(LiveTestbed& testbed, const trace::Trace& t) {
+  int peak = ThreadCount();
+  for (const Request& r : t.Requests()) {
+    while (testbed.Now() < r.arrival) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    testbed.Submit(r);
+    peak = std::max(peak, ThreadCount());
+  }
+  return peak;
 }
 
 TEST(Testbed, ServesAllRequestsOnRealThreads) {
@@ -204,6 +230,69 @@ TEST(Testbed, HungIdleWorkerStartsNothingUntilTheHangEnds) {
   ASSERT_EQ(result.records.size(), 1u);
   EXPECT_GE(result.records[0].start, Millis(220.0));
   EXPECT_EQ(result.faults_injected, 1u);
+}
+
+// The testbed is one executor thread whatever it runs: eight instances,
+// telemetry snapshots, scheme ticks and a fault plan (a crash, a hang, a
+// slowdown, transient retries and hang checks) add no thread of their own.
+TEST(Testbed, RunsOneBackgroundThread) {
+  ScenarioConfig config;
+  config.gpus = 8;
+  config.period = Millis(200.0);
+  const trace::Trace t = TinyTrace(300.0, 1.0, 21);
+  auto scheme = MakeSchemeByName("st", config);
+  telemetry::TelemetryConfig tc;
+  tc.concurrency = telemetry::Concurrency::kMultiThreaded;
+  tc.snapshot_period = Millis(50.0);
+  telemetry::TelemetrySink sink(tc);
+  fault::FaultPlan plan;
+  plan.seed = 5;
+  plan.dispatch_error_prob = 0.02;
+  plan.CrashAt(Millis(300.0), 1)
+      .HangAt(Millis(400.0), 2, Millis(100.0))
+      .SlowdownAt(Millis(500.0), 3, Millis(100.0), 2.0);
+  TestbedConfig tb;
+  tb.time_scale = 0.5;
+  tb.telemetry = &sink;
+  tb.fault_plan = &plan;
+  tb.resilience.hang_timeout = Seconds(5.0);
+
+  const int before = ThreadCount();
+  LiveTestbed testbed(*scheme, tb);
+  testbed.Start();
+  EXPECT_EQ(ThreadCount(), before + 1);
+  const int peak = ReplayCountingThreads(testbed, t);
+  const TestbedResult result = testbed.Finish();
+  EXPECT_EQ(ThreadCount(), before);
+  EXPECT_EQ(peak, before + 1);
+  ASSERT_EQ(result.records.size(), t.Size());
+  EXPECT_GE(result.faults_injected, 3u);
+}
+
+// Replacement churn (the re-allocation of SurvivesReplacementChurnUnderLoad)
+// launches and retires instances all run long; none of them costs a thread.
+TEST(Testbed, ChurnAddsNoThreadsPerLaunch) {
+  ScenarioConfig config;
+  config.gpus = 4;
+  config.period = Millis(500.0);
+  auto scheme = MakeSchemeByName("arlo", config);
+  const trace::Trace t = TinyTrace(250.0, 3.0, 9);
+  telemetry::TelemetryConfig tc;
+  tc.concurrency = telemetry::Concurrency::kMultiThreaded;
+  telemetry::TelemetrySink sink(tc);
+  TestbedConfig tb;
+  tb.time_scale = 0.5;
+  tb.telemetry = &sink;
+
+  const int before = ThreadCount();
+  LiveTestbed testbed(*scheme, tb);
+  testbed.Start();
+  const int peak = ReplayCountingThreads(testbed, t);
+  const TestbedResult result = testbed.Finish();
+  ASSERT_EQ(result.records.size(), t.Size());
+  EXPECT_GT(sink.Serving().launches->Value(), 4u);  // replacements launched
+  EXPECT_EQ(peak, before + 1);
+  EXPECT_EQ(ThreadCount(), before);
 }
 
 // One SubmitAll call carries a whole batch under one lock acquisition; each

@@ -1,7 +1,7 @@
-// LiveTestbed dynamic batching: batch formation on real worker threads,
-// waiting policies interruptible by faults and shutdown, and zero request
-// loss when a kill lands mid-batch.  Runs under TSan and ASan in check.sh
-// (filter TestbedBatching.*).
+// LiveTestbed dynamic batching: batch formation on the executor and
+// submitting threads, waiting policies interruptible by faults and
+// shutdown, and zero request loss when a kill lands mid-batch.  Runs under
+// TSan (filter TestbedBatching.*) and ASan in check.sh.
 #include <gtest/gtest.h>
 
 #include <vector>
