@@ -283,7 +283,7 @@ Row RunCell(bool with_ctrl, const std::string& backend_binary, int nodes,
         for (const auto& b : backends) {
           const obs::NodeProbe p = obs::ProbeAdminEndpoint(b->AdminPort());
           os << "[";
-          for (int rt : p.ready_worker_runtimes) os << rt << " ";
+          for (int rt : p.ReadyRuntimes()) os << rt << " ";
           os << "]";
         }
         std::cerr << os.str() << "\n";

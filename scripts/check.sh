@@ -18,12 +18,9 @@
 # generative bench (finite TTFT/ITL percentiles;
 # continuous batching must not lose to the static baseline on ITL p98),
 # smoke the tenant bench (weighted-fair cell must hold the interactive
-# class within its SLO), then re-run the concurrency-sensitive tests
-# (threaded testbed + batching + net frontend + sharded telemetry + admin
-# plane + cluster router + cross-hop tracing + the sim-vs-testbed
-# differential) under ThreadSanitizer, and the whole test suite under
-# Address+UBSanitizer.  Both sanitizer builds treat warnings as errors,
-# like the main build.
+# class within its SLO), then re-run the whole test suite under
+# ThreadSanitizer and again under Address+UBSanitizer.  Both sanitizer
+# builds treat warnings as errors, like the main build.
 #
 #   scripts/check.sh            # full gate
 #   scripts/check.sh --no-tsan  # skip the TSan stage (fast local loop)
@@ -413,13 +410,11 @@ print(f"tenant bench smoke: {len(rows)} cells, fair interactive "
 EOF
 
 if [[ "$run_tsan" == 1 ]]; then
-  echo "== ThreadSanitizer (testbed + telemetry concurrency) =="
+  echo "== ThreadSanitizer (the whole suite) =="
   cmake -B build-tsan -S . -DARLO_TSAN=ON -DARLO_WERROR=ON >/dev/null
   cmake --build build-tsan -j "$(nproc)" --target arlo_tests
   # halt_on_error so a reported race fails the gate rather than scrolling by.
-  TSAN_OPTIONS="halt_on_error=1" \
-    ./build-tsan/tests/arlo_tests \
-    --gtest_filter='Testbed.*:TestbedBatching.*:GenerativeTestbed.*:TelemetryConcurrency.*:TelemetrySinkTest.*:NetLoopback.*:NetWakePipe.*:NetClient.*:ObsAdmin*:ObsFlightRecorder.*:ClusterPolicy.*:ClusterRouter.*:TenantClassTable.*:TenantDispatchQueue.*:TenantAdmission.*:CtrlDrift.*:CtrlPlanner.*:CtrlLive.*:TraceWire*:TraceStages.*:TraceCluster.*:TraceProbe.*:ExecutorDifferential.*'
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/arlo_tests
 fi
 
 if [[ "$run_asan" == 1 ]]; then

@@ -144,7 +144,7 @@ bool NodePool::ApplyProbe(int node, const obs::NodeProbe& probe) {
     view.est_queue_delay_ns = probe.est_queue_delay_ns;
     view.live_workers = probe.live_workers;
     view.backlog = probe.inflight + probe.buffered;
-    view.worker_max_lengths = probe.ready_worker_max_lengths;
+    view.worker_max_lengths = probe.ReadyMaxLengths();
     return false;
   }
   const int failures =

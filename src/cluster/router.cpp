@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "telemetry/sink.h"
 
 namespace arlo::cluster {
@@ -497,33 +498,27 @@ void Router::QueueReply(const PendingRoute& pending, const net::Reply& reply) {
   TouchClient(pending.conn_fd);
 }
 
-void Router::WriteStatusJson(std::ostream& os) const {
+void Router::WriteStatusJson(json::Writer& w) const {
   const Stats stats = GetStats();
-  os << "{\"policy\":\"" << PolicyName() << "\""
-     << ",\"healthy\":" << (Healthy() ? "true" : "false")
-     << ",\"trace_sample_n\":" << config_.trace_sample_n
-     << ",\"accepted\":" << stats.accepted << ",\"routed\":" << stats.routed
-     << ",\"replies\":" << stats.replies << ",\"retries\":" << stats.retries
-     << ",\"no_node\":" << stats.no_node
-     << ",\"inflight\":" << inflight_.load(std::memory_order_relaxed);
-  os << ",\"nodes\":[";
-  const std::vector<NodeStatus> nodes = pool_->Status();
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const NodeStatus& n = nodes[i];
-    if (i > 0) os << ",";
-    // down_reason is router-built text (errno strings, decoder errors,
-    // probe counts) and never carries a quote or a backslash.
-    os << "{\"id\":" << n.node << ",\"name\":\"" << n.endpoint.name << "\""
-       << ",\"port\":" << n.endpoint.port
-       << ",\"admin_port\":" << n.endpoint.admin_port << ",\"state\":\""
-       << NodeStateName(n.state) << "\"" << ",\"routed\":" << n.routed
-       << ",\"inflight\":" << n.inflight
-       << ",\"est_queue_delay_ns\":" << n.est_queue_delay_ns
-       << ",\"live_workers\":" << n.live_workers
-       << ",\"probe_failures\":" << n.probe_failures << ",\"down_reason\":\""
-       << n.down_reason << "\"}";
+  w.BeginObject().Field("policy", PolicyName()).Field("healthy", Healthy());
+  w.Field("trace_sample_n", config_.trace_sample_n);
+  w.Field("accepted", stats.accepted).Field("routed", stats.routed);
+  w.Field("replies", stats.replies).Field("retries", stats.retries);
+  w.Field("no_node", stats.no_node);
+  w.Field("inflight", inflight_.load(std::memory_order_relaxed));
+  w.Key("nodes").BeginArray();
+  for (const NodeStatus& n : pool_->Status()) {
+    w.BeginObject().Field("id", n.node).Field("name", n.endpoint.name);
+    w.Field("port", n.endpoint.port);
+    w.Field("admin_port", n.endpoint.admin_port);
+    w.Field("state", NodeStateName(n.state)).Field("routed", n.routed);
+    w.Field("inflight", n.inflight);
+    w.Field("est_queue_delay_ns", n.est_queue_delay_ns);
+    w.Field("live_workers", n.live_workers);
+    w.Field("probe_failures", n.probe_failures);
+    w.Field("down_reason", n.down_reason).EndObject();
   }
-  os << "]}";
+  w.EndArray().EndObject();
 }
 
 }  // namespace arlo::cluster

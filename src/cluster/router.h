@@ -42,6 +42,7 @@
 
 #include "cluster/node_pool.h"
 #include "cluster/policy.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "fault/retry.h"
 #include "net/conn.h"
@@ -99,7 +100,7 @@ class Router {
   bool Healthy() const;
 
   /// One JSON object: router totals plus a per-node array.
-  void WriteStatusJson(std::ostream& os) const;
+  void WriteStatusJson(json::Writer& w) const;
 
   struct Stats {
     std::uint64_t accepted = 0;   ///< submits read off client sockets

@@ -4,9 +4,10 @@
 #include <sstream>
 
 #include "cluster/router.h"
+#include "common/json.h"
 #include "ctrl/scheduler.h"
 #include "obs/http.h"
-#include "obs/probe.h"
+#include "serving/statusz.h"
 #include "telemetry/sink.h"
 
 namespace arlo::cluster {
@@ -76,14 +77,15 @@ std::unique_ptr<obs::AdminServer> MakeRouterAdmin(
     const bool healthy = router.Healthy();
     response.status = healthy ? 200 : 503;
     response.content_type = "application/json";
-    response.body = healthy ? "{\"ok\":true}" : "{\"ok\":false}";
+    response.body = json::OneMemberObject("ok", healthy);
     return response;
   });
 
   server->Route("GET", "/statusz", [&router](const obs::HttpRequest&) {
     obs::HttpResponse response;
     std::ostringstream os;
-    router.WriteStatusJson(os);
+    json::Writer w(os);
+    router.WriteStatusJson(w);
     response.body = os.str();
     response.content_type = "application/json";
     return response;
@@ -99,40 +101,36 @@ std::unique_ptr<obs::AdminServer> MakeRouterAdmin(
         obs::HttpResponse response;
         response.content_type = "application/json";
         std::ostringstream os;
-        os << "{\"router\":";
-        router.WriteStatusJson(os);
+        json::Writer w(os);
+        w.BeginObject().Key("router");
+        router.WriteStatusJson(w);
         if (sink != nullptr) {
-          os << ",\"stages\":";
-          sink->WriteStageSummaryJson(os);
+          w.Key("stages");
+          sink->WriteStageSummaryJson(w);
         }
         if (ctrl != nullptr) {
-          os << ",\"ctrl\":";
-          ctrl->WriteStatusJson(os);
+          w.Key("ctrl");
+          ctrl->WriteStatusJson(w);
         }
-        os << ",\"nodes\":[";
-        const std::vector<NodeStatus> nodes = router.Pool().Status();
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-          const NodeStatus& node = nodes[i];
-          if (i > 0) os << ",";
-          os << "{\"id\":" << node.node
-             << ",\"admin_port\":" << node.endpoint.admin_port
-             << ",\"state\":\"" << NodeStateName(node.state) << "\"";
+        w.Key("nodes").BeginArray();
+        for (const NodeStatus& node : router.Pool().Status()) {
+          w.BeginObject().Field("id", node.node);
+          w.Field("admin_port", node.endpoint.admin_port);
+          w.Field("state", NodeStateName(node.state));
           obs::HttpResult result;
           if (node.endpoint.admin_port != 0) {
             result = obs::HttpFetch(node.endpoint.admin_port, "GET",
                                     "/statusz");
           }
-          // Splice only a body the probe parser accepts as one statusz.
-          obs::NodeProbe parsed;
-          if (result.ok && result.status == 200 &&
-              obs::ParseStatusz(result.body, parsed)) {
-            os << ",\"reachable\":true,\"statusz\":" << result.body;
-          } else {
-            os << ",\"reachable\":false";
-          }
-          os << "}";
+          // Splice only a body the strict statusz parser accepts.
+          serving::Statusz parsed;
+          const bool reachable = result.ok && result.status == 200 &&
+                                 serving::ParseStatusz(result.body, parsed);
+          w.Field("reachable", reachable);
+          if (reachable) w.Key("statusz").Raw(result.body);
+          w.EndObject();
         }
-        os << "]}";
+        w.EndArray().EndObject();
         response.body = os.str();
         return response;
       });
@@ -144,15 +142,15 @@ std::unique_ptr<obs::AdminServer> MakeRouterAdmin(
         std::int64_t node = -1;
         if (!QueryInt(request.query, "node", node)) {
           response.status = 400;
-          response.body = "{\"error\":\"missing node=N\"}";
+          response.body = json::OneMemberObject("error", "missing node=N");
           return response;
         }
         if (!router.DrainNode(static_cast<int>(node))) {
           response.status = 409;
-          response.body = "{\"error\":\"node not drainable\"}";
+          response.body = json::OneMemberObject("error", "node not drainable");
           return response;
         }
-        response.body = "{\"draining\":" + std::to_string(node) + "}";
+        response.body = json::OneMemberObject("draining", node);
         return response;
       });
 
@@ -164,7 +162,7 @@ std::unique_ptr<obs::AdminServer> MakeRouterAdmin(
         if (!QueryInt(request.query, "port", port) || port <= 0 ||
             port > 65535) {
           response.status = 400;
-          response.body = "{\"error\":\"missing port=P\"}";
+          response.body = json::OneMemberObject("error", "missing port=P");
           return response;
         }
         std::int64_t admin = 0;
@@ -175,10 +173,10 @@ std::unique_ptr<obs::AdminServer> MakeRouterAdmin(
         const int node = router.JoinNode(endpoint);
         if (node < 0) {
           response.status = 409;
-          response.body = "{\"error\":\"join failed\"}";
+          response.body = json::OneMemberObject("error", "join failed");
           return response;
         }
-        response.body = "{\"joined\":" + std::to_string(node) + "}";
+        response.body = json::OneMemberObject("joined", node);
         return response;
       });
 
@@ -187,7 +185,8 @@ std::unique_ptr<obs::AdminServer> MakeRouterAdmin(
       obs::HttpResponse response;
       response.content_type = "application/json";
       std::ostringstream os;
-      ctrl->WriteStatusJson(os);
+      json::Writer w(os);
+      ctrl->WriteStatusJson(w);
       response.body = os.str();
       return response;
     });
@@ -198,10 +197,11 @@ std::unique_ptr<obs::AdminServer> MakeRouterAdmin(
       response.content_type = "application/json";
       const ctrl::ClusterScheduler::RoundReport report = ctrl->RunOnce(true);
       std::ostringstream os;
-      os << "{\"replanned\":" << (report.replanned ? "true" : "false")
-         << ",\"deltas_shipped\":" << report.deltas_shipped
-         << ",\"deltas_applied\":" << report.deltas_applied
-         << ",\"deltas_rejected\":" << report.deltas_rejected << "}";
+      json::Writer w(os);
+      w.BeginObject().Field("replanned", report.replanned);
+      w.Field("deltas_shipped", report.deltas_shipped);
+      w.Field("deltas_applied", report.deltas_applied);
+      w.Field("deltas_rejected", report.deltas_rejected).EndObject();
       response.body = os.str();
       return response;
     });

@@ -1,11 +1,11 @@
 #include "common/table.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+
+#include "common/json.h"
 
 namespace arlo {
 
@@ -52,59 +52,25 @@ void TablePrinter::Print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-namespace {
-
-/// True iff the whole cell parses as a finite number (so it can be emitted
-/// as a bare JSON number).
-bool IsJsonNumber(const std::string& s) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size() && std::isfinite(v);
-}
-
-void EmitJsonString(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(c) << std::dec << std::setfill(' ');
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void TablePrinter::PrintJson(std::ostream& os) const {
-  os << "{\"title\": ";
-  EmitJsonString(os, title_);
-  os << ", \"rows\": [";
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    os << (r ? ", " : "") << "{";
-    const auto& row = rows_[r];
+  json::Writer w(os);
+  w.BeginObject().Field("title", title_).Key("rows").BeginArray();
+  for (const auto& row : rows_) {
+    w.BeginObject();
     for (std::size_t i = 0; i < row.size() && i < header_.size(); ++i) {
-      if (i) os << ", ";
-      EmitJsonString(os, header_[i]);
-      os << ": ";
-      if (IsJsonNumber(row[i])) {
-        os << row[i];
+      w.Key(header_[i]);
+      json::Value cell;
+      if (json::Parse(row[i], cell) &&
+          cell.type() == json::Value::Type::kNumber) {
+        w.Raw(row[i]);
       } else {
-        EmitJsonString(os, row[i]);
+        w.String(row[i]);
       }
     }
-    os << "}";
+    w.EndObject();
   }
-  os << "]}\n";
+  w.EndArray().EndObject();
+  os << '\n';
 }
 
 void TablePrinter::PrintCsv(std::ostream& os) const {

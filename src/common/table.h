@@ -27,8 +27,8 @@ class TablePrinter {
   /// Renders as CSV (for plotting pipelines).
   void PrintCsv(std::ostream& os) const;
 
-  /// Renders as JSON: {"title": ..., "rows": [{header: value, ...}, ...]}.
-  /// Cells that parse fully as finite numbers are emitted raw; everything
+  /// Renders as JSON: {"title":...,"rows":[{header:value,...},...]}.
+  /// Cells that are one finite JSON number are emitted raw; everything
   /// else becomes an escaped JSON string.
   void PrintJson(std::ostream& os) const;
 

@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "telemetry/sink.h"
 
 namespace arlo::core {
@@ -228,24 +229,20 @@ void ArloScheme::OnTick(SimTime now, sim::ClusterOps& cluster) {
 }
 
 void ArloScheme::WriteStatusJson(std::ostream& os, SimTime now) const {
-  os << "{\"name\":\"" << Name() << "\"";
-  os << ",\"allocation\":[";
+  json::Writer w(os);
+  w.BeginObject().Field("name", Name()).Key("allocation");
   if (!allocation_history_.empty()) {
     const auto& [when, alloc] = allocation_history_.back();
-    for (std::size_t i = 0; i < alloc.size(); ++i) {
-      if (i > 0) os << ",";
-      os << alloc[i];
-    }
-    os << "],\"last_realloc_s\":" << ToSeconds(when)
-       << ",\"since_realloc_s\":" << ToSeconds(now - when);
+    w.NumberArray(alloc).Field("last_realloc_s", ToSeconds(when));
+    w.Field("since_realloc_s", ToSeconds(now - when));
   } else {
-    os << "],\"last_realloc_s\":null,\"since_realloc_s\":null";
+    w.BeginArray().EndArray();
+    w.Key("last_realloc_s").Null().Key("since_realloc_s").Null();
   }
-  WriteFleetJson(os);
-  os << ",\"dispatch\":{\"total\":" << stats_.total
-     << ",\"demoted\":" << stats_.demoted
-     << ",\"fallbacks\":" << stats_.fallbacks << "}";
-  os << "}";
+  WriteFleetJson(w);
+  w.Key("dispatch").BeginObject().Field("total", stats_.total);
+  w.Field("demoted", stats_.demoted).Field("fallbacks", stats_.fallbacks);
+  w.EndObject().EndObject();
 }
 
 }  // namespace arlo::core

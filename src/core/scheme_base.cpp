@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "telemetry/sink.h"
 
 namespace arlo::core {
@@ -188,13 +189,12 @@ void SchemeBase::OnTick(SimTime now, sim::ClusterOps& cluster) {
   RunAutoscaler(now, cluster);
 }
 
-void SchemeBase::WriteFleetJson(std::ostream& os) const {
-  os << ",\"target_gpus\":" << target_gpus_
-     << ",\"pending_launches\":" << pending_launches_
-     << ",\"ready_instances\":" << ready_instances_.size();
-  os << ",\"levels\":[";
+void SchemeBase::WriteFleetJson(json::Writer& w) const {
+  w.Field("target_gpus", target_gpus_);
+  w.Field("pending_launches", pending_launches_);
+  w.Field("ready_instances", ready_instances_.size()).Key("levels");
+  w.BeginArray();
   for (std::size_t level = 0; level < queue_.NumLevels(); ++level) {
-    if (level > 0) os << ",";
     std::int64_t outstanding = 0;
     std::int64_t capacity = 0;
     for (const InstanceLoad& load :
@@ -202,31 +202,27 @@ void SchemeBase::WriteFleetJson(std::ostream& os) const {
       outstanding += load.outstanding;
       capacity += load.max_capacity;
     }
-    os << "{\"level\":" << level << ",\"instances\":"
-       << queue_.NumInstances(static_cast<RuntimeId>(level))
-       << ",\"outstanding\":" << outstanding << ",\"capacity\":" << capacity
-       << "}";
+    w.BeginObject().Field("level", level);
+    w.Field("instances", queue_.NumInstances(static_cast<RuntimeId>(level)));
+    w.Field("outstanding", outstanding).Field("capacity", capacity);
+    w.EndObject();
   }
-  os << "]";
+  w.EndArray();
 }
 
 void SchemeBase::WriteStatusJson(std::ostream& os, SimTime now) const {
   (void)now;
-  os << "{\"name\":\"" << Name() << "\"";
   // Ready-instance count per runtime is the baseline "allocation vector".
   std::vector<int> per_runtime(runtimes_->Size(), 0);
   for (const auto& [id, runtime] : ready_instances_) {
     (void)id;
     ++per_runtime[runtime];
   }
-  os << ",\"allocation\":[";
-  for (std::size_t i = 0; i < per_runtime.size(); ++i) {
-    if (i > 0) os << ",";
-    os << per_runtime[i];
-  }
-  os << "]";
-  WriteFleetJson(os);
-  os << "}";
+  json::Writer w(os);
+  w.BeginObject().Field("name", Name()).Key("allocation").NumberArray(
+      per_runtime);
+  WriteFleetJson(w);
+  w.EndObject();
 }
 
 }  // namespace arlo::core

@@ -17,6 +17,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/json.h"
 #include "core/autoscaler.h"
 #include "core/multi_level_queue.h"
 #include "core/replacement.h"
@@ -98,9 +99,9 @@ class SchemeBase : public sim::Scheme {
   void RollOutNextBatch(sim::ClusterOps& cluster);
   bool RollingOut() const { return !pending_batches_.empty(); }
 
-  /// The shared /statusz fields, each prefixed by a comma: target_gpus,
+  /// The shared /statusz members of the open scheme object: target_gpus,
   /// pending_launches, ready_instances and the per-level `levels` array.
-  void WriteFleetJson(std::ostream& os) const;
+  void WriteFleetJson(json::Writer& w) const;
 
   const runtime::RuntimeSet& Runtimes() const { return *runtimes_; }
   const std::vector<runtime::RuntimeProfile>& Profiles() const {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "obs/http.h"
 #include "obs/probe.h"
 #include "solver/allocation.h"
@@ -94,7 +95,7 @@ ClusterScheduler::RoundReport ClusterScheduler::RunOnceLocked(bool force) {
     NodeAllocation alloc;
     alloc.node = node.id;
     alloc.per_runtime.assign(bins, 0);
-    for (int rt : probe.ready_worker_runtimes) {
+    for (int rt : probe.ReadyRuntimes()) {
       if (rt >= 0 && rt < static_cast<int>(bins)) ++alloc.per_runtime[rt];
     }
     allocations.push_back(std::move(alloc));
@@ -268,27 +269,20 @@ ClusterScheduler::Stats ClusterScheduler::GetStats() const {
   return stats_;
 }
 
-void ClusterScheduler::WriteStatusJson(std::ostream& os) const {
+void ClusterScheduler::WriteStatusJson(json::Writer& w) const {
   std::lock_guard lk(mu_);
-  os << "{\"rounds\":" << stats_.rounds
-     << ",\"scrape_failures\":" << stats_.scrape_failures
-     << ",\"settle_holds\":" << stats_.settle_holds
-     << ",\"replans\":" << stats_.replans
-     << ",\"deltas\":{\"shipped\":" << stats_.deltas_shipped
-     << ",\"applied\":" << stats_.deltas_applied
-     << ",\"rejected\":" << stats_.deltas_rejected << "}"
-     << ",\"last_ks\":" << stats_.last_ks
-     << ",\"last_solve_ms\":" << stats_.last_solve_ms
-     << ",\"last_warm_started\":"
-     << (stats_.last_warm_started ? "true" : "false")
-     << ",\"last_capped\":" << (stats_.last_capped ? "true" : "false")
-     << ",\"window_samples\":" << demand_.WindowTotal()
-     << ",\"incumbent\":[";
-  for (std::size_t i = 0; i < stats_.incumbent.size(); ++i) {
-    if (i > 0) os << ",";
-    os << stats_.incumbent[i];
-  }
-  os << "]}";
+  w.BeginObject().Field("rounds", stats_.rounds);
+  w.Field("scrape_failures", stats_.scrape_failures);
+  w.Field("settle_holds", stats_.settle_holds).Field("replans", stats_.replans);
+  w.Key("deltas").BeginObject().Field("shipped", stats_.deltas_shipped);
+  w.Field("applied", stats_.deltas_applied);
+  w.Field("rejected", stats_.deltas_rejected).EndObject();
+  w.Field("last_ks", stats_.last_ks);
+  w.Field("last_solve_ms", stats_.last_solve_ms);
+  w.Field("last_warm_started", stats_.last_warm_started);
+  w.Field("last_capped", stats_.last_capped);
+  w.Field("window_samples", demand_.WindowTotal());
+  w.Key("incumbent").NumberArray(stats_.incumbent).EndObject();
 }
 
 }  // namespace arlo::ctrl

@@ -42,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/types.h"
 #include "ctrl/demand.h"
 #include "ctrl/drift.h"
@@ -145,7 +146,7 @@ class ClusterScheduler {
   Stats GetStats() const;
 
   /// One JSON object for GET /ctrl/statusz.
-  void WriteStatusJson(std::ostream& os) const;
+  void WriteStatusJson(json::Writer& w) const;
 
   const ClusterSchedulerConfig& Config() const { return config_; }
 

@@ -1,16 +1,10 @@
 #include "net/poller.h"
 
-#include <poll.h>
+#include <sys/epoll.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <system_error>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define ARLO_HAVE_EPOLL 1
-#else
-#define ARLO_HAVE_EPOLL 0
-#endif
 
 namespace arlo::net {
 namespace {
@@ -19,122 +13,56 @@ namespace {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
-}  // namespace
-
-Poller::Backend Poller::DefaultBackend() {
-#if ARLO_HAVE_EPOLL
-  return Backend::kEpoll;
-#else
-  return Backend::kPoll;
-#endif
-}
-
-Poller::Poller(Backend backend) : backend_(backend) {
-#if ARLO_HAVE_EPOLL
-  if (backend_ == Backend::kEpoll) {
-    epoll_fd_ = ScopedFd(::epoll_create1(0));
-    if (!epoll_fd_.Valid()) ThrowErrno("epoll_create1");
-    return;
-  }
-#else
-  backend_ = Backend::kPoll;
-#endif
-}
-
-#if ARLO_HAVE_EPOLL
-namespace {
 std::uint32_t EpollMask(bool want_read, bool want_write) {
   std::uint32_t mask = 0;
   if (want_read) mask |= EPOLLIN;
   if (want_write) mask |= EPOLLOUT;
   return mask;
 }
+
 }  // namespace
-#endif
+
+Poller::Poller() : epoll_fd_(::epoll_create1(0)) {
+  if (!epoll_fd_.Valid()) ThrowErrno("epoll_create1");
+}
 
 void Poller::Add(int fd, bool want_read, bool want_write) {
-#if ARLO_HAVE_EPOLL
-  if (backend_ == Backend::kEpoll) {
-    epoll_event ev{};
-    ev.events = EpollMask(want_read, want_write);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_.Get(), EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ThrowErrno("epoll_ctl(ADD)");
-    }
-    return;
+  epoll_event ev{};
+  ev.events = EpollMask(want_read, want_write);
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_.Get(), EPOLL_CTL_ADD, fd, &ev) < 0) {
+    ThrowErrno("epoll_ctl(ADD)");
   }
-#endif
-  interest_[fd] = Interest{want_read, want_write};
 }
 
 void Poller::Modify(int fd, bool want_read, bool want_write) {
-#if ARLO_HAVE_EPOLL
-  if (backend_ == Backend::kEpoll) {
-    epoll_event ev{};
-    ev.events = EpollMask(want_read, want_write);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_.Get(), EPOLL_CTL_MOD, fd, &ev) < 0) {
-      ThrowErrno("epoll_ctl(MOD)");
-    }
-    return;
+  epoll_event ev{};
+  ev.events = EpollMask(want_read, want_write);
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_.Get(), EPOLL_CTL_MOD, fd, &ev) < 0) {
+    ThrowErrno("epoll_ctl(MOD)");
   }
-#endif
-  interest_[fd] = Interest{want_read, want_write};
 }
 
 void Poller::Remove(int fd) {
-#if ARLO_HAVE_EPOLL
-  if (backend_ == Backend::kEpoll) {
-    // Ignore failures: the fd may already be closed (kernel auto-removes).
-    ::epoll_ctl(epoll_fd_.Get(), EPOLL_CTL_DEL, fd, nullptr);
-    return;
-  }
-#endif
-  interest_.erase(fd);
+  // Ignore failures: the fd may already be closed (kernel auto-removes).
+  ::epoll_ctl(epoll_fd_.Get(), EPOLL_CTL_DEL, fd, nullptr);
 }
 
 int Poller::Wait(int timeout_ms, std::vector<PollEvent>& out) {
   out.clear();
-#if ARLO_HAVE_EPOLL
-  if (backend_ == Backend::kEpoll) {
-    epoll_event events[64];
-    int n;
-    do {
-      n = ::epoll_wait(epoll_fd_.Get(), events, 64, timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) ThrowErrno("epoll_wait");
-    for (int i = 0; i < n; ++i) {
-      PollEvent ev;
-      ev.fd = events[i].data.fd;
-      ev.readable = (events[i].events & EPOLLIN) != 0;
-      ev.writable = (events[i].events & EPOLLOUT) != 0;
-      ev.hangup = (events[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-      out.push_back(ev);
-    }
-    return n;
-  }
-#endif
-  std::vector<pollfd> fds;
-  fds.reserve(interest_.size());
-  for (const auto& [fd, want] : interest_) {
-    pollfd p{};
-    p.fd = fd;
-    if (want.read) p.events |= POLLIN;
-    if (want.write) p.events |= POLLOUT;
-    fds.push_back(p);
-  }
+  epoll_event events[64];
   int n;
   do {
-    n = ::poll(fds.data(), fds.size(), timeout_ms);
+    n = ::epoll_wait(epoll_fd_.Get(), events, 64, timeout_ms);
   } while (n < 0 && errno == EINTR);
-  if (n < 0) ThrowErrno("poll");
-  for (const pollfd& p : fds) {
-    if (p.revents == 0) continue;
+  if (n < 0) ThrowErrno("epoll_wait");
+  for (int i = 0; i < n; ++i) {
     PollEvent ev;
-    ev.fd = p.fd;
-    ev.readable = (p.revents & POLLIN) != 0;
-    ev.writable = (p.revents & POLLOUT) != 0;
-    ev.hangup = (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
+    ev.fd = events[i].data.fd;
+    ev.readable = (events[i].events & EPOLLIN) != 0;
+    ev.writable = (events[i].events & EPOLLOUT) != 0;
+    ev.hangup = (events[i].events & (EPOLLHUP | EPOLLERR)) != 0;
     out.push_back(ev);
   }
   return n;

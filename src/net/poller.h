@@ -1,16 +1,12 @@
-// Readiness multiplexer for the non-blocking server: epoll on Linux, with a
-// portable poll(2) backend that is both the non-Linux fallback and runtime-
-// selectable (ServerConfig::force_poll), so the fallback path is exercised
-// by the loopback tests on every platform rather than only on exotic ones.
+// Readiness multiplexer for the non-blocking servers: a thin owner of one
+// epoll instance.  The repository targets Linux only (the sockets already
+// rely on SOCK_NONBLOCK and MSG_NOSIGNAL), so there is no other backend.
 //
-// Level-triggered semantics on both backends: a fd reports readable/
-// writable for as long as the condition holds, so the event loop never
-// needs to drain-until-EAGAIN to stay correct (it still does, for
-// throughput).
+// Level-triggered semantics: a fd reports readable/writable for as long as
+// the condition holds, so the event loop never needs to drain-until-EAGAIN
+// to stay correct (it still does, for throughput).
 #pragma once
 
-#include <cstddef>
-#include <map>
 #include <vector>
 
 #include "net/socket.h"
@@ -26,13 +22,7 @@ struct PollEvent {
 
 class Poller {
  public:
-  enum class Backend { kEpoll, kPoll };
-
-  /// kEpoll where the platform has it, else kPoll.
-  static Backend DefaultBackend();
-
-  /// Requesting kEpoll on a platform without it falls back to kPoll.
-  explicit Poller(Backend backend = DefaultBackend());
+  Poller();
 
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
@@ -45,17 +35,8 @@ class Poller {
   /// `out` (cleared first).  Returns the number of events.
   int Wait(int timeout_ms, std::vector<PollEvent>& out);
 
-  Backend ActiveBackend() const { return backend_; }
-
  private:
-  struct Interest {
-    bool read = false;
-    bool write = false;
-  };
-
-  Backend backend_;
-  ScopedFd epoll_fd_;                 ///< kEpoll only
-  std::map<int, Interest> interest_;  ///< kPoll only
+  ScopedFd epoll_fd_;
 };
 
 }  // namespace arlo::net

@@ -29,9 +29,7 @@ struct Server::Impl {
   Impl(serving::LiveTestbed& backend, const ServerConfig& config)
       : backend_(backend),
         config_(config),
-        admission_(config.admission),
-        poller_(config.force_poll ? Poller::Backend::kPoll
-                                  : Poller::DefaultBackend()) {}
+        admission_(config.admission) {}
 
   serving::LiveTestbed& backend_;
   ServerConfig config_;

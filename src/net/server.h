@@ -1,7 +1,7 @@
 // The non-blocking TCP serving frontend.
 //
 // One event-loop thread multiplexes the listening socket and every client
-// connection through a Poller (epoll, or poll via force_poll), decodes
+// connection through an epoll Poller, decodes
 // length-prefixed SubmitRequest frames, and runs each through the
 // AdmissionController.  The loop submits the admitted requests to the
 // LiveTestbed itself: it collects a pass's admissions and, after the pass's
@@ -51,8 +51,6 @@ struct ServerConfig {
   /// 0 = kernel-assigned ephemeral port; read back via Port().
   std::uint16_t port = 0;
   AdmissionConfig admission;
-  /// Use the poll(2) backend instead of epoll (fallback-path testing).
-  bool force_poll = false;
   /// Optional telemetry (not owned; must outlive the server).
   telemetry::TelemetrySink* telemetry = nullptr;
 };

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "net/conn.h"
 #include "net/poller.h"
 #include "net/socket.h"
@@ -214,9 +215,7 @@ void AdminServer::Start() {
   impl_->listen_fd = net::ListenTcp(impl_->options.port);
   net::SetNonBlocking(impl_->listen_fd.Get());
   impl_->port = net::LocalPort(impl_->listen_fd.Get());
-  impl_->poller = std::make_unique<net::Poller>(
-      impl_->options.force_poll ? net::Poller::Backend::kPoll
-                                : net::Poller::DefaultBackend());
+  impl_->poller = std::make_unique<net::Poller>();
   impl_->poller->Add(impl_->listen_fd.Get(), /*want_read=*/true,
                      /*want_write=*/false);
   impl_->poller->Add(impl_->wake.ReadFd(), /*want_read=*/true,
@@ -252,7 +251,7 @@ AdminServer::Stats AdminServer::GetStats() const {
 
 AdminPlane::AdminPlane(AdminPlaneConfig config)
     : config_(std::move(config)),
-      server_(AdminServer::Options{config_.port, config_.force_poll}) {
+      server_(AdminServer::Options{config_.port}) {
   telemetry::TelemetrySink* sink = config_.sink;
   server_.Route("GET", "/", [](const HttpRequest&) {
     HttpResponse r;
@@ -284,14 +283,15 @@ AdminPlane::AdminPlane(AdminPlaneConfig config)
     HttpResponse r;
     r.content_type = "application/json";
     if (!healthz) {
-      r.body = "{\"ok\":true}\n";
+      r.body = json::OneMemberObject("ok", true) + "\n";
       return r;
     }
     const AdminPlaneConfig::HealthzReport report = healthz();
     if (!report.ok) r.status = 503;
-    r.body = "{\"ok\":";
-    r.body += report.ok ? "true" : "false";
-    r.body += ",\"detail\":" + report.detail_json + "}\n";
+    std::ostringstream os;
+    json::Writer(os).BeginObject().Field("ok", report.ok).Key("detail").Raw(
+        report.detail_json).EndObject();
+    r.body = os.str() + "\n";
     return r;
   });
   const auto statusz = config_.statusz;
@@ -300,7 +300,7 @@ AdminPlane::AdminPlane(AdminPlaneConfig config)
     r.content_type = "application/json";
     if (!statusz) {
       r.status = 503;
-      r.body = "{\"error\":\"no status provider\"}\n";
+      r.body = json::OneMemberObject("error", "no status provider") + "\n";
       return r;
     }
     std::ostringstream os;
@@ -317,22 +317,23 @@ AdminPlane::AdminPlane(AdminPlaneConfig config)
     r.content_type = "application/json";
     if (!slo && !tenant_slo) {
       r.status = 503;
-      r.body = "{\"error\":\"no slo monitor\"}\n";
+      r.body = json::OneMemberObject("error", "no slo monitor") + "\n";
       return r;
     }
     const SimTime now = now_fn ? now_fn() : 0;
     std::ostringstream os;
+    json::Writer w(os);
     if (slo && tenant_slo) {
       // Both: wrap so each payload keeps its standalone shape.
-      os << "{\"global\":";
-      slo->WriteJson(os, now);
-      os << ",\"tenants\":";
-      tenant_slo->WriteJson(os, now);
-      os << "}";
+      w.BeginObject().Key("global");
+      slo->WriteJson(w, now);
+      w.Key("tenants");
+      tenant_slo->WriteJson(w, now);
+      w.EndObject();
     } else if (slo) {
-      slo->WriteJson(os, now);
+      slo->WriteJson(w, now);
     } else {
-      tenant_slo->WriteJson(os, now);
+      tenant_slo->WriteJson(w, now);
     }
     os << "\n";
     r.body = os.str();
@@ -344,22 +345,23 @@ AdminPlane::AdminPlane(AdminPlaneConfig config)
     r.content_type = "application/json";
     if (!realloc_fn) {
       r.status = 503;
-      r.body = "{\"error\":\"no realloc provider\"}\n";
+      r.body = json::OneMemberObject("error", "no realloc provider") + "\n";
       return r;
     }
     std::vector<int> allocation;
     if (!ParseAllocParam(!req.query.empty() ? req.query : req.body,
                          allocation)) {
       r.status = 400;
-      r.body = "{\"error\":\"expected alloc=n0,n1,...\"}\n";
+      r.body =
+          json::OneMemberObject("error", "expected alloc=n0,n1,...") + "\n";
       return r;
     }
     if (!realloc_fn(allocation)) {
       r.status = 409;  // fleet shape mismatch or rollout in flight: retry
-      r.body = "{\"applied\":false}\n";
+      r.body = json::OneMemberObject("applied", false) + "\n";
       return r;
     }
-    r.body = "{\"applied\":true}\n";
+    r.body = json::OneMemberObject("applied", true) + "\n";
     return r;
   });
   FlightRecorder* flight = config_.flight;
@@ -368,7 +370,7 @@ AdminPlane::AdminPlane(AdminPlaneConfig config)
     r.content_type = "application/json";
     if (!flight) {
       r.status = 503;
-      r.body = "{\"error\":\"no flight recorder\"}\n";
+      r.body = json::OneMemberObject("error", "no flight recorder") + "\n";
       return r;
     }
     std::ostringstream os;

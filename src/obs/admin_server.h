@@ -1,11 +1,11 @@
 // Admin HTTP server + the AdminPlane route bundle.
 //
 // AdminServer is a single-threaded HTTP/1.1 event loop on the src/net
-// poller (epoll, or poll via force_poll — same backends as the serving
-// frontend): accept, parse incrementally, run the route handler, flush,
-// close.  Handlers run on the admin thread at monitoring rates, so they may
-// take serving-side locks (the /statusz provider takes the testbed's
-// dispatch lock) — the serving hot path never blocks on the admin plane,
+// epoll poller (the one the serving frontend runs on): accept, parse
+// incrementally, run the route handler, flush, close.  Handlers run on the
+// admin thread at monitoring rates, so they may take serving-side locks
+// (the /statusz provider takes the testbed's dispatch lock while it fills
+// the status struct) — the serving hot path never blocks on the admin plane,
 // and an idle admin server costs one sleeping thread.
 //
 // AdminPlane wires the standard endpoints:
@@ -43,7 +43,6 @@ class AdminServer {
 
   struct Options {
     std::uint16_t port = 0;  ///< 0 = ephemeral; read back with Port()
-    bool force_poll = false;
   };
 
   struct Stats {
@@ -82,7 +81,6 @@ class AdminServer {
 /// the admin thread; null members disable their endpoint (503).
 struct AdminPlaneConfig {
   std::uint16_t port = 0;
-  bool force_poll = false;
   /// /metrics (and the /slo gauges' registry).
   telemetry::TelemetrySink* sink = nullptr;
   /// /statusz: writes one JSON object (e.g. LiveTestbed::WriteStatusJson).

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <vector>
 
+#include "common/json.h"
+
 namespace arlo::obs {
 namespace {
 
@@ -92,18 +94,16 @@ void FlightRecorder::WriteJson(std::ostream& os) const {
                      return a.view.ts < b.view.ts;
                    });
 
-  os << "{\"traceEvents\":[";
-  bool first_event = true;
+  json::Writer w(os);
+  w.BeginObject().Key("traceEvents").BeginArray(json::Writer::Layout::kLines);
   for (EventCopy& e : events) {
     e.view.args = e.args;
-    if (!first_event) os << ",";
-    first_event = false;
-    os << "\n";
-    telemetry::AppendChromeEvent(os, e.view);
+    telemetry::AppendChromeEvent(w, e.view);
   }
-  os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"source\":"
-     << "\"flight_recorder\",\"recorded\":" << total
-     << ",\"capacity\":" << capacity_ << "}}\n";
+  w.EndArray().Field("displayTimeUnit", "ms").Key("otherData").BeginObject();
+  w.Field("source", "flight_recorder").Field("recorded", total);
+  w.Field("capacity", capacity_).EndObject().EndObject();
+  os << '\n';
 }
 
 bool FlightRecorder::DumpToFile(const std::string& path) const {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 
 #include "net/socket.h"
@@ -105,6 +106,11 @@ void HttpRequestParser::Feed(const char* data, std::size_t n) {
     const std::size_t header_end = buffer_.find("\r\n\r\n");
     if (header_end == std::string::npos) {
       if (buffer_.size() > kMaxHeaderBytes) state_ = State::kError;
+      return;
+    }
+    // The cap holds however the block arrived, one read or many.
+    if (header_end > kMaxHeaderBytes) {
+      state_ = State::kError;
       return;
     }
     ParseHeaderBlock(header_end);
@@ -207,22 +213,33 @@ HttpResult HttpFetch(std::uint16_t port, const std::string& method,
     if (n == 0) break;
     if (n < 0 && errno != EAGAIN && errno != EINTR) return result;
     response.append(buf, static_cast<std::size_t>(std::max<ssize_t>(n, 0)));
+    if (response.size() > kHttpFetchMaxResponseBytes) return result;
   }
+  return ParseHttpResponse(response);
+}
+
+HttpResult ParseHttpResponse(const std::string& response) {
+  HttpResult result;
   const std::size_t header_end = response.find("\r\n\r\n");
-  if (header_end == std::string::npos ||
+  if (response.size() > kHttpFetchMaxResponseBytes ||
+      header_end == std::string::npos ||
       response.compare(0, 5, "HTTP/") != 0) {
     return result;
   }
+  // "HTTP/x.y SP 3DIGIT ..."
   const std::size_t sp = response.find(' ');
   if (sp == std::string::npos || sp + 4 > header_end) return result;
-  result.status = std::atoi(response.c_str() + sp + 1);
+  const char* code = response.data() + sp + 1;
+  const auto [code_end, ec] = std::from_chars(code, code + 3, result.status);
+  if (ec != std::errc() || code_end != code + 3 || result.status < 100) {
+    return HttpResult();
+  }
   // content-type, for the exposition-format assertions in tests.
   const std::string headers = ToLower(response.substr(0, header_end));
   const std::size_t ct = headers.find("content-type:");
   if (ct != std::string::npos) {
-    const std::size_t eol = headers.find("\r\n", ct);
-    result.content_type =
-        Trim(response.substr(ct + 13, eol - (ct + 13)));
+    const std::size_t eol = std::min(headers.find("\r\n", ct), header_end);
+    result.content_type = Trim(response.substr(ct + 13, eol - (ct + 13)));
   }
   result.body = response.substr(header_end + 4);
   // A body cut short of its declared length is a truncated answer.
@@ -232,7 +249,7 @@ HttpResult HttpFetch(std::uint16_t port, const std::string& method,
           std::strtoull(headers.c_str() + cl + 15, nullptr, 10)) {
     return result;
   }
-  result.ok = result.status > 0;
+  result.ok = true;
   return result;
 }
 

@@ -73,11 +73,26 @@ struct HttpResult {
 /// The bound on one whole HttpFetch: connect, send and read to EOF.
 inline constexpr std::chrono::milliseconds kHttpFetchDeadline{1000};
 
+/// The bound on one HttpFetch response, status line and headers included.
+/// The largest response any test or bench fetches is obs_overhead's
+/// POST /debug/dump (122 KB at its default duration); a full default
+/// 4096-event flight recorder dumps ~0.5 MiB.  4 MiB clears both, while an
+/// admin port that streams bytes can no longer grow the caller by whatever
+/// loopback carries in kHttpFetchDeadline.
+inline constexpr std::size_t kHttpFetchMaxResponseBytes = 4 * 1024 * 1024;
+
+/// Parses one whole HTTP/1.1 response as HttpFetch reads it to EOF: status
+/// line, header block, and the body as the rest of `response`.  ok=false on
+/// a malformed status line, a response over kHttpFetchMaxResponseBytes, or
+/// a body shorter than its Content-Length.
+HttpResult ParseHttpResponse(const std::string& response);
+
 /// Blocking one-shot client against 127.0.0.1:`port`: sends the request,
-/// reads to EOF (the server closes after responding), parses the status
-/// line, headers, and body.  Fails (ok=false) past kHttpFetchDeadline, so
-/// an admin plane that accepts and never answers cannot stall the caller,
-/// and on a body shorter than its Content-Length.
+/// reads to EOF (the server closes after responding) and parses the
+/// response with ParseHttpResponse.  Fails (ok=false) past
+/// kHttpFetchDeadline, so an admin plane that accepts and never answers
+/// cannot stall the caller, and as soon as the response passes
+/// kHttpFetchMaxResponseBytes.
 HttpResult HttpFetch(std::uint16_t port, const std::string& method,
                      const std::string& path, const std::string& body = "");
 

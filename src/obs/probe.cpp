@@ -1,210 +1,8 @@
 #include "obs/probe.h"
 
-#include <cctype>
-#include <cstdlib>
-
 #include "obs/http.h"
 
 namespace arlo::obs {
-namespace {
-
-/// Position just past `"key":` in `json` starting at `from`, or npos.
-std::size_t FindValueStart(const std::string& json, const std::string& key,
-                           std::size_t from) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = json.find(needle, from);
-  if (at == std::string::npos) return std::string::npos;
-  return at + needle.size();
-}
-
-bool ParseNumberAt(const std::string& json, std::size_t at, double& out) {
-  if (at >= json.size()) return false;
-  const char* start = json.c_str() + at;
-  char* end = nullptr;
-  const double value = std::strtod(start, &end);
-  if (end == start) return false;
-  out = value;
-  return true;
-}
-
-std::int64_t FindInt(const std::string& json, const std::string& key,
-                     std::int64_t fallback = 0) {
-  double value = 0.0;
-  if (!JsonFindNumber(json, key, value)) return fallback;
-  return static_cast<std::int64_t>(value);
-}
-
-/// Parses the flat number array following `"key":[` at or after `from` into
-/// `out` (cleared first).  Returns the position just past the closing ']',
-/// or npos when the key or a well-formed array is absent.
-std::size_t ParseNumberArray(const std::string& json, const std::string& key,
-                             std::size_t from, std::vector<double>& out) {
-  out.clear();
-  const std::string needle = "\"" + key + "\":[";
-  std::size_t at = json.find(needle, from);
-  if (at == std::string::npos) return std::string::npos;
-  at += needle.size();
-  const std::size_t end = json.find(']', at);
-  if (end == std::string::npos) return std::string::npos;
-  while (at < end) {
-    double value = 0.0;
-    if (!ParseNumberAt(json, at, value)) break;
-    out.push_back(value);
-    const std::size_t comma = json.find(',', at);
-    if (comma == std::string::npos || comma > end) break;
-    at = comma + 1;
-  }
-  return end + 1;
-}
-
-/// Structural completeness check: the body is exactly one brace-balanced
-/// JSON object (string-aware), with nothing but whitespace after it.  A
-/// scrape truncated mid-write — the node died, the socket hit a limit —
-/// fails here instead of yielding partially parsed numbers.
-bool BalancedJsonObject(const std::string& body) {
-  std::size_t at = 0;
-  while (at < body.size() &&
-         std::isspace(static_cast<unsigned char>(body[at]))) {
-    ++at;
-  }
-  if (at >= body.size() || body[at] != '{') return false;
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (; at < body.size(); ++at) {
-    const char c = body[at];
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      if (--depth < 0) return false;
-      if (depth == 0) break;  // top-level object closed
-    }
-  }
-  if (depth != 0 || at >= body.size()) return false;
-  for (++at; at < body.size(); ++at) {
-    if (!std::isspace(static_cast<unsigned char>(body[at]))) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-bool JsonFindNumber(const std::string& json, const std::string& key,
-                    double& out) {
-  const std::size_t at = FindValueStart(json, key, 0);
-  if (at == std::string::npos) return false;
-  return ParseNumberAt(json, at, out);
-}
-
-bool ParseStatusz(const std::string& body, NodeProbe& out) {
-  // All-or-nothing: fields are parsed into a local and copied out only when
-  // the body passes validation, so a failure never leaves `out` partially
-  // overwritten.
-  if (!BalancedJsonObject(body)) return false;
-  NodeProbe parsed;
-  parsed.reachable = out.reachable;
-  parsed.healthy = out.healthy;
-  // Every LiveTestbed /statusz carries these; a body missing any of them is
-  // a foreign or mangled payload, not a partial answer worth acting on.
-  if (!JsonFindNumber(body, "time_s", parsed.time_s)) return false;
-  double required = 0.0;
-  for (const char* key : {"submitted", "completed", "inflight", "buffered",
-                          "live_workers", "est_queue_delay_ns"}) {
-    if (!JsonFindNumber(body, key, required)) return false;
-  }
-  parsed.submitted = FindInt(body, "submitted");
-  parsed.completed = FindInt(body, "completed");
-  parsed.inflight = FindInt(body, "inflight");
-  parsed.buffered = FindInt(body, "buffered");
-  parsed.live_workers = static_cast<int>(FindInt(body, "live_workers"));
-  parsed.est_queue_delay_ns = FindInt(body, "est_queue_delay_ns");
-
-  // "length_mix":{"bounds":[...],"counts":[...]} — absent unless the node
-  // was configured with mix bounds.
-  const std::size_t mix = body.find("\"length_mix\":{");
-  if (mix != std::string::npos) {
-    std::vector<double> values;
-    std::size_t after = ParseNumberArray(body, "bounds", mix, values);
-    if (after != std::string::npos) {
-      for (double v : values) parsed.mix_bounds.push_back(static_cast<int>(v));
-      if (ParseNumberArray(body, "counts", after, values) !=
-          std::string::npos) {
-        for (double v : values) {
-          parsed.mix_counts.push_back(static_cast<std::int64_t>(v));
-        }
-      }
-    }
-    if (parsed.mix_counts.size() != parsed.mix_bounds.size()) {
-      parsed.mix_bounds.clear();
-      parsed.mix_counts.clear();
-    }
-  }
-
-  parsed.pending_launches = FindInt(body, "pending_launches");
-
-  const std::size_t reallocs = body.find("\"reallocs\":{");
-  if (reallocs != std::string::npos) {
-    parsed.reallocs_applied = FindInt(body.substr(reallocs), "applied");
-    parsed.reallocs_rejected = FindInt(body.substr(reallocs), "rejected");
-  }
-
-  // Per-class head-of-line queueing delay, in class-id (= row) order.
-  std::size_t tenants = body.find("\"tenants\":[");
-  if (tenants != std::string::npos) {
-    tenants += std::string("\"tenants\":[").size();
-    const std::size_t tenants_end = body.find(']', tenants);
-    std::size_t at = tenants;
-    while (tenants_end != std::string::npos && at < tenants_end) {
-      const std::size_t obj_start = body.find('{', at);
-      if (obj_start == std::string::npos || obj_start > tenants_end) break;
-      const std::size_t obj_end = body.find('}', obj_start);
-      if (obj_end == std::string::npos || obj_end > tenants_end) break;
-      const std::string row = body.substr(obj_start, obj_end - obj_start + 1);
-      parsed.class_queue_delay_ns.push_back(FindInt(row, "queue_delay_ns"));
-      at = obj_end + 1;
-    }
-  }
-
-  // Walk the workers array: each row is a flat object with "state",
-  // "runtime", and "max_length"; collect the ready rows' profile.
-  std::size_t at = body.find("\"workers\":[");
-  if (at != std::string::npos) {
-    at += std::string("\"workers\":[").size();
-    const std::size_t array_end = body.find(']', at);
-    while (array_end != std::string::npos && at < array_end) {
-      const std::size_t obj_start = body.find('{', at);
-      if (obj_start == std::string::npos || obj_start > array_end) break;
-      std::size_t obj_end = body.find('}', obj_start);
-      if (obj_end == std::string::npos || obj_end > array_end) break;
-      const std::string row = body.substr(obj_start, obj_end - obj_start + 1);
-      if (row.find("\"state\":\"ready\"") != std::string::npos) {
-        double max_length = 0.0;
-        if (JsonFindNumber(row, "max_length", max_length)) {
-          parsed.ready_worker_max_lengths.push_back(
-              static_cast<int>(max_length));
-          double runtime = -1.0;
-          JsonFindNumber(row, "runtime", runtime);
-          parsed.ready_worker_runtimes.push_back(static_cast<int>(runtime));
-        }
-      }
-      at = obj_end + 1;
-    }
-  }
-  out = std::move(parsed);
-  return true;
-}
 
 NodeProbe ProbeAdminEndpoint(std::uint16_t admin_port) {
   NodeProbe probe;
@@ -214,7 +12,7 @@ NodeProbe ProbeAdminEndpoint(std::uint16_t admin_port) {
   if (!status.ok) return probe;
   probe.reachable = true;
   probe.healthy = health.status == 200;
-  if (status.status == 200 && !ParseStatusz(status.body, probe)) {
+  if (status.status == 200 && !serving::ParseStatusz(status.body, probe)) {
     // Truncated or malformed statusz: report the whole probe as failed
     // rather than handing the caller a half-filled struct.
     probe.reachable = false;

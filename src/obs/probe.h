@@ -1,57 +1,20 @@
 // Admin-plane probe client: one blocking HTTP round to a node's /healthz
-// and /statusz, condensed into the few numbers a router tier needs to make
-// routing decisions.  Field extraction is a purpose-built scanner over the
-// JSON shapes this repo itself emits (LiveTestbed::WriteStatusJson, the
-// AdminPlane healthz report) — not a general JSON parser, and documented as
-// such so nobody points it at foreign input.
+// and /statusz.  The statusz body is read by serving::ParseStatusz, the
+// strict typed parser that owns the node /statusz format, so a probe holds
+// exactly the fields the node wrote — nothing is re-declared here.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
+
+#include "serving/statusz.h"
 
 namespace arlo::obs {
 
-/// One probe of a backend node's admin endpoint.
-struct NodeProbe {
+/// One probe of a backend node's admin endpoint: the node's parsed
+/// /statusz (valid when reachable) plus how the two fetches went.
+struct NodeProbe : serving::Statusz {
   bool reachable = false;  ///< both HTTP fetches completed
   bool healthy = false;    ///< /healthz answered 200
-
-  // From /statusz (valid when reachable):
-  double time_s = 0.0;
-  std::int64_t submitted = 0;
-  std::int64_t completed = 0;
-  std::int64_t inflight = 0;
-  std::int64_t buffered = 0;
-  int live_workers = 0;
-  std::int64_t est_queue_delay_ns = 0;
-  /// max_length of each worker currently in the "ready" state — the node's
-  /// length profile, which the length-aware routing policy fits requests to.
-  std::vector<int> ready_worker_max_lengths;
-  /// RuntimeId of each ready worker, parallel to ready_worker_max_lengths —
-  /// the per-node allocation vector the cluster Runtime Scheduler diffs
-  /// against its target when planning deltas.
-  std::vector<int> ready_worker_runtimes;
-
-  /// Submitted-length histogram ("length_mix" on /statusz): ascending bin
-  /// upper bounds and the node's cumulative counts.  Empty when the node
-  /// does not export a mix (mix_bounds unset).
-  std::vector<int> mix_bounds;
-  std::vector<std::int64_t> mix_counts;
-
-  /// Head-of-line queueing delay per tenant class, in class-id order.
-  /// Empty when the node runs without a tenant class table.
-  std::vector<std::int64_t> class_queue_delay_ns;
-
-  /// External reallocation applies ("reallocs" on /statusz).
-  std::int64_t reallocs_applied = 0;
-  std::int64_t reallocs_rejected = 0;
-
-  /// Worker launches the node's scheme has started but not finished
-  /// ("pending_launches" inside the statusz scheme block).  Non-zero while
-  /// a runtime rollout is in flight; 0 when the node is settled (or runs
-  /// without a scheme block).
-  std::int64_t pending_launches = 0;
 };
 
 /// Probes 127.0.0.1:`admin_port` (GET /healthz then GET /statusz).  Never
@@ -59,18 +22,5 @@ struct NodeProbe {
 /// including a reachable node whose /statusz body is truncated or malformed
 /// (the probe is all-or-nothing; partial structs are never returned).
 NodeProbe ProbeAdminEndpoint(std::uint16_t admin_port);
-
-/// Extracts the number following `"key":` at top level or any nesting depth
-/// (first occurrence wins).  Returns false when the key is absent or not
-/// followed by a number.  Exposed for tests.
-bool JsonFindNumber(const std::string& json, const std::string& key,
-                    double& out);
-
-/// Parses a NodeProbe's /statusz fields out of a statusz JSON body.
-/// Returns false — leaving `out`'s statusz fields untouched — when the body
-/// is not one complete brace-balanced JSON object or lacks the core fields
-/// every node statusz carries (truncated scrape, foreign payload).  Exposed
-/// for tests; ProbeAdminEndpoint composes it with the HTTP fetch.
-bool ParseStatusz(const std::string& body, NodeProbe& out);
 
 }  // namespace arlo::obs

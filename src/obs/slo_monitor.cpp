@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "telemetry/trace_recorder.h"
 
 namespace arlo::obs {
@@ -147,23 +148,21 @@ SloStats SloMonitor::Stats(SimTime now) {
   return s;
 }
 
-void SloMonitor::WriteJson(std::ostream& os, SimTime now) {
+void SloMonitor::WriteJson(json::Writer& w, SimTime now) {
   const SloStats s = Stats(now);
-  os << "{\"slo_ms\":" << ToSeconds(config_.slo) * 1e3
-     << ",\"target\":" << config_.target
-     << ",\"alert_burn_rate\":" << config_.alert_burn_rate
-     << ",\"total\":" << s.total << ",\"violations\":" << s.violations
-     << ",\"attainment\":" << s.attainment << ",\"windows\":[";
-  for (std::size_t i = 0; i < s.windows.size(); ++i) {
-    const SloWindowStats& w = s.windows[i];
-    if (i > 0) os << ",";
-    os << "{\"window_s\":" << ToSeconds(w.window) << ",\"total\":" << w.total
-       << ",\"violations\":" << w.violations
-       << ",\"attainment\":" << w.attainment
-       << ",\"burn_rate\":" << w.burn_rate
-       << ",\"alerting\":" << (w.alerting ? "true" : "false") << "}";
+  w.BeginObject().Field("slo_ms", ToSeconds(config_.slo) * 1e3);
+  w.Field("target", config_.target);
+  w.Field("alert_burn_rate", config_.alert_burn_rate);
+  w.Field("total", s.total).Field("violations", s.violations);
+  w.Field("attainment", s.attainment).Key("windows").BeginArray();
+  for (const SloWindowStats& window : s.windows) {
+    w.BeginObject().Field("window_s", ToSeconds(window.window));
+    w.Field("total", window.total).Field("violations", window.violations);
+    w.Field("attainment", window.attainment);
+    w.Field("burn_rate", window.burn_rate);
+    w.Field("alerting", window.alerting).EndObject();
   }
-  os << "]}";
+  w.EndArray().EndObject();
 }
 
 }  // namespace arlo::obs

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/types.h"
 #include "telemetry/sink.h"
 
@@ -83,7 +84,7 @@ class SloMonitor final : public telemetry::TelemetryObserver {
   SloStats Stats(SimTime now);
 
   /// The /slo payload: one JSON object with lifetime + per-window stats.
-  void WriteJson(std::ostream& os, SimTime now);
+  void WriteJson(json::Writer& w, SimTime now);
 
   const SloMonitorConfig& Config() const { return config_; }
 

@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "common/check.h"
+#include "common/json.h"
 
 namespace arlo::obs {
 
@@ -32,18 +33,17 @@ SloMonitor& TenantSloSet::Monitor(int cls) {
   return *monitors_[static_cast<std::size_t>(table_.Clamp(cls))];
 }
 
-void TenantSloSet::WriteJson(std::ostream& os, SimTime now) {
-  os << "[";
+void TenantSloSet::WriteJson(json::Writer& w, SimTime now) {
+  w.BeginArray();
   for (std::size_t c = 0; c < monitors_.size(); ++c) {
     const tenant::TenantClass& klass = table_.Class(static_cast<int>(c));
-    if (c > 0) os << ",";
-    os << "{\"class\":" << c << ",\"name\":\"" << klass.name
-       << "\",\"weight\":" << klass.weight << ",\"shed_policy\":\""
-       << tenant::ShedPolicyName(klass.shed) << "\",\"slo\":";
-    monitors_[c]->WriteJson(os, now);
-    os << "}";
+    w.BeginObject().Field("class", c).Field("name", klass.name);
+    w.Field("weight", klass.weight);
+    w.Field("shed_policy", tenant::ShedPolicyName(klass.shed)).Key("slo");
+    monitors_[c]->WriteJson(w, now);
+    w.EndObject();
   }
-  os << "]";
+  w.EndArray();
 }
 
 }  // namespace arlo::obs

@@ -33,8 +33,8 @@ class TenantSloSet final : public telemetry::TelemetryObserver {
   SloMonitor& Monitor(int cls);
 
   /// JSON array of per-class objects:
-  ///   [{"class":0,"name":"interactive",...SloMonitor::WriteJson...}, ...]
-  void WriteJson(std::ostream& os, SimTime now);
+  ///   [{"class":0,"name":"interactive",...,"slo":{SloMonitor::WriteJson}}]
+  void WriteJson(json::Writer& w, SimTime now);
 
  private:
   const tenant::TenantClassTable& table_;

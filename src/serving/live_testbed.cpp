@@ -10,11 +10,14 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
+#include "common/json.h"
+#include "serving/statusz.h"
 #include "telemetry/sink.h"
 
 namespace arlo::serving {
@@ -71,7 +74,7 @@ struct LiveTestbed::Impl final : public sim::EventShell {
   void Submit(Submission* batch, std::size_t n);
   bool ApplyAllocation(const std::vector<int>& allocation);
   TestbedHealth Health();
-  void WriteStatusJson(std::ostream& os);
+  Statusz Status();
   void Drain();
   TestbedResult Finish();
   SimDuration EstimatedQueueDelay() const;
@@ -287,91 +290,74 @@ TestbedHealth LiveTestbed::Impl::Health() {
   return h;
 }
 
-void LiveTestbed::Impl::WriteStatusJson(std::ostream& os) {
-  std::lock_guard global(dispatch_mu_);
-  const SimTime now = Now();
-  const sim::ExecutorCore::Tally& tally = core_.Counters();
-  const tenant::DispatchQueue& buffer = core_.Buffer();
-  os << "{\"time_s\":" << ToSeconds(now) << ",\"submitted\":"
-     << core_.Arrived() << ",\"completed\":" << core_.Completed()
-     << ",\"inflight\":" << core_.Outstanding()
-     << ",\"buffered\":" << buffer.Size()
-     << ",\"live_workers\":" << core_.NumInstances()
-     << ",\"peak_workers\":" << tally.peak_instances
-     // The admission estimate, exported so a router tier can steer on
-     // backend queue pressure without a second estimator.
-     << ",\"est_queue_delay_ns\":" << EstimatedQueueDelay();
-  os << ",\"batches\":{\"formed\":" << tally.batches_formed
-     << ",\"timeouts\":" << tally.batch_timeouts << "}";
-  if (!mix_counts_.empty()) {
-    // Cumulative submitted-length histogram; the cluster Runtime Scheduler
-    // diffs successive scrapes into a windowed demand observation.
-    os << ",\"length_mix\":{\"bounds\":[";
-    for (std::size_t i = 0; i < config_.mix_bounds.size(); ++i) {
-      if (i > 0) os << ",";
-      os << config_.mix_bounds[i];
+Statusz LiveTestbed::Impl::Status() {
+  Statusz s;
+  std::ostringstream scheme;
+  {
+    std::lock_guard global(dispatch_mu_);
+    const SimTime now = Now();
+    const sim::ExecutorCore::Tally& tally = core_.Counters();
+    const tenant::DispatchQueue& buffer = core_.Buffer();
+    s.time_s = ToSeconds(now);
+    s.submitted = static_cast<std::int64_t>(core_.Arrived());
+    s.completed = static_cast<std::int64_t>(core_.Completed());
+    s.inflight = core_.Outstanding();
+    s.buffered = static_cast<std::int64_t>(buffer.Size());
+    s.live_workers = core_.NumInstances();
+    s.peak_workers = tally.peak_instances;
+    s.est_queue_delay_ns = EstimatedQueueDelay();
+    s.batches_formed = static_cast<std::int64_t>(tally.batches_formed);
+    s.batch_timeouts = static_cast<std::int64_t>(tally.batch_timeouts);
+    if (!mix_counts_.empty()) {
+      s.mix_bounds = config_.mix_bounds;
+      s.mix_counts.assign(mix_counts_.begin(), mix_counts_.end());
     }
-    os << "],\"counts\":[";
-    for (std::size_t i = 0; i < mix_counts_.size(); ++i) {
-      if (i > 0) os << ",";
-      os << mix_counts_[i];
+    s.reallocs_applied = static_cast<std::int64_t>(reallocs_applied_);
+    s.reallocs_rejected = static_cast<std::int64_t>(reallocs_rejected_);
+    if (last_realloc_ >= 0) s.last_realloc_s = ToSeconds(last_realloc_);
+    if (config_.tenants != nullptr && !config_.tenants->Empty()) {
+      for (int c = 0; c < config_.tenants->Size(); ++c) {
+        const tenant::TenantClass& klass = config_.tenants->Class(c);
+        const SimTime head = buffer.ClassHeadArrival(c);
+        Statusz::Tenant& t = s.tenants.emplace_back();
+        t.id = c;
+        t.name = klass.name;
+        t.weight = klass.weight;
+        t.slo_ms = ToSeconds(klass.slo) * 1e3;
+        t.buffered = static_cast<std::int64_t>(buffer.ClassDepth(c));
+        t.completed = static_cast<std::int64_t>(
+            class_completed_[static_cast<std::size_t>(c)]);
+        t.queue_delay_ns = head >= 0 ? now - head : 0;
+      }
     }
-    os << "]}";
-  }
-  os << ",\"reallocs\":{\"applied\":" << reallocs_applied_
-     << ",\"rejected\":" << reallocs_rejected_;
-  if (last_realloc_ >= 0) {
-    os << ",\"last_s\":" << ToSeconds(last_realloc_);
-  }
-  os << "}";
-  if (config_.tenants != nullptr && !config_.tenants->Empty()) {
-    os << ",\"tenants\":[";
-    for (int c = 0; c < config_.tenants->Size(); ++c) {
-      const tenant::TenantClass& klass = config_.tenants->Class(c);
-      if (c > 0) os << ",";
-      os << "{\"class\":" << c << ",\"name\":\"" << klass.name
-         << "\",\"weight\":" << klass.weight
-         << ",\"slo_ms\":" << ToSeconds(klass.slo) * 1e3
-         << ",\"buffered\":" << buffer.ClassDepth(c)
-         << ",\"completed\":" << class_completed_[static_cast<std::size_t>(c)];
-      // Head-of-line queueing delay: how long the class's oldest buffered
-      // request has waited.  Zero when nothing is buffered.
-      const SimTime head = buffer.ClassHeadArrival(c);
-      os << ",\"queue_delay_ns\":" << (head >= 0 ? now - head : 0) << "}";
+    for (InstanceId id = 0; id < core_.NumLaunched(); ++id) {
+      const sim::ExecutorCore::Instance& w = core_.At(id);
+      Statusz::Worker& row = s.workers.emplace_back();
+      row.id = static_cast<int>(id);
+      row.runtime = static_cast<std::int64_t>(w.runtime);
+      row.state = w.gone       ? (w.crashed ? "killed" : "gone")
+                  : w.retiring ? "retiring"
+                  : w.ready    ? "ready"
+                               : "provisioning";
+      row.max_length = w.rt ? w.rt->MaxLength() : 0;
+      row.queued = w.gen ? w.gen->WaitingCount() + w.gen->ResidentCount()
+                         : static_cast<int>(w.queue.size());
+      row.executing = w.executing;
+      const SimTime last_progress = core_.Health().LastProgress(id);
+      if (last_progress >= 0) row.idle_s = ToSeconds(now - last_progress);
     }
-    os << "]";
+    scheme_.WriteStatusJson(scheme, now);
   }
-  os << ",\"workers\":[";
-  for (InstanceId id = 0; id < core_.NumLaunched(); ++id) {
-    const sim::ExecutorCore::Instance& w = core_.At(id);
-    const int queued = w.gen ? w.gen->WaitingCount() + w.gen->ResidentCount()
-                             : static_cast<int>(w.queue.size());
-    const char* state = w.gone       ? (w.crashed ? "killed" : "gone")
-                        : w.retiring ? "retiring"
-                        : w.ready    ? "ready"
-                                     : "provisioning";
-    if (id > 0) os << ",";
-    os << "{\"id\":" << id << ",\"runtime\":"
-       << static_cast<std::int64_t>(w.runtime) << ",\"state\":\"" << state
-       << "\",\"max_length\":" << (w.rt ? w.rt->MaxLength() : 0)
-       << ",\"queued\":" << queued << ",\"executing\":" << w.executing;
-    const SimTime last_progress = core_.Health().LastProgress(id);
-    if (last_progress >= 0) {
-      os << ",\"idle_s\":" << ToSeconds(now - last_progress);
-    }
-    os << "}";
-  }
-  os << "]";
-  // Per-stage latency summary, present only once stage metrics are enabled
-  // (a net::Server with tracing wired up) so plain testbeds keep emitting
-  // the exact statusz bytes they always have.
+  s.scheme = scheme.str();
+  // Present only once stage metrics are enabled (a net::Server with
+  // tracing wired up), so plain testbeds keep their statusz bytes.
   if (config_.telemetry != nullptr && config_.telemetry->StageMetricsEnabled()) {
-    os << ",\"stages\":";
-    config_.telemetry->WriteStageSummaryJson(os);
+    std::ostringstream stages;
+    json::Writer w(stages);
+    config_.telemetry->WriteStageSummaryJson(w);
+    s.stages = stages.str();
   }
-  os << ",\"scheme\":";
-  scheme_.WriteStatusJson(os, now);
-  os << "}";
+  return s;
 }
 
 SimDuration LiveTestbed::Impl::EstimatedQueueDelay() const {
@@ -454,7 +440,7 @@ SimDuration LiveTestbed::EstimatedQueueDelay() const {
 TestbedHealth LiveTestbed::Health() { return impl_->Health(); }
 
 void LiveTestbed::WriteStatusJson(std::ostream& os) {
-  impl_->WriteStatusJson(os);
+  WriteStatusz(os, impl_->Status());
 }
 
 void LiveTestbed::Drain() { impl_->Drain(); }

@@ -104,11 +104,12 @@ class LiveTestbed {
   /// any thread while running.
   bool ApplyAllocation(const std::vector<int>& allocation);
 
-  /// Live cluster state as one JSON object (admin /statusz): per-worker
-  /// queue depth and state, inflight and buffered counts, batch stats, and
-  /// the scheme's own WriteStatusJson section.  Safe from any thread while
-  /// running; takes the dispatch lock, so callers should treat it as a
-  /// monitoring-rate (not hot-path) operation.
+  /// Live cluster state as one JSON object (admin /statusz, the
+  /// serving::Statusz format): per-worker queue depth and state, inflight
+  /// and buffered counts, batch stats, and the scheme's own WriteStatusJson
+  /// section.  Safe from any thread while running.  The dispatch lock is
+  /// held only while the struct is filled, not while it is formatted; still
+  /// a monitoring-rate (not hot-path) operation.
   void WriteStatusJson(std::ostream& os);
 
   /// Blocks until every submitted request has completed.

@@ -3,12 +3,13 @@
 #include <ostream>
 
 #include "common/check.h"
+#include "common/json.h"
 
 namespace arlo::sim {
 
 void Scheme::WriteStatusJson(std::ostream& os, SimTime now) const {
   (void)now;
-  os << "{\"name\":\"" << Name() << "\"}";
+  json::Writer(os).BeginObject().Field("name", Name()).EndObject();
 }
 
 void Scheme::OnInstanceFailure(InstanceId instance, ClusterOps& cluster) {

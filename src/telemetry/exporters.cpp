@@ -5,6 +5,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "common/json.h"
+
 namespace arlo::telemetry {
 namespace {
 
@@ -34,18 +36,6 @@ std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
-}
-
-/// Metric names carry Prometheus-style labels with embedded quotes
-/// (arlo_queue_depth{level="3"}); as a JSON object key those must be escaped.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 void WriteHistogramProm(std::ostream& os, const std::string& base,
@@ -100,41 +90,39 @@ void WritePrometheusText(const MetricsRegistry& registry, std::ostream& os) {
 
 void WriteJsonSnapshot(const MetricsRegistry& registry, std::uint64_t run_id,
                        std::ostream& os) {
-  os << "{\"run_id\":\"" << run_id << "\",\"metrics\":{";
-  bool first = true;
-  registry.ForEach([&os, &first](const std::string& name,
-                                 const MetricsRegistry::Entry& entry) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n\"" << JsonEscape(name) << "\":";
+  json::Writer w(os);
+  w.BeginObject().Field("run_id", std::to_string(run_id)).Key("metrics");
+  w.BeginObject(json::Writer::Layout::kLines);
+  // Metric names carry Prometheus-style labels with embedded quotes
+  // (arlo_queue_depth{level="3"}); the writer escapes them as keys.
+  registry.ForEach([&w](const std::string& name,
+                        const MetricsRegistry::Entry& entry) {
+    w.Key(name);
     switch (entry.kind) {
       case MetricKind::kCounter:
-        os << entry.counter->Value();
+        w.Number(entry.counter->Value());
         break;
       case MetricKind::kGauge:
-        os << entry.gauge->Value();
+        w.Number(entry.gauge->Value());
         break;
       case MetricKind::kHistogram: {
         const LatencyHistogram& h = *entry.histogram;
-        os << "{\"count\":" << h.Count() << ",\"sum\":" << h.Sum()
-           << ",\"p50\":" << h.Quantile(0.50)
-           << ",\"p98\":" << h.Quantile(0.98)
-           << ",\"p99\":" << h.Quantile(0.99) << ",\"buckets\":[";
+        w.BeginObject().Field("count", h.Count()).Field("sum", h.Sum());
+        w.Field("p50", h.Quantile(0.50)).Field("p98", h.Quantile(0.98));
+        w.Field("p99", h.Quantile(0.99)).Key("buckets").BeginArray();
         const std::vector<std::uint64_t> counts = h.BucketCounts();
-        bool first_bucket = true;
         for (int b = 0; b < LatencyHistogram::kNumBuckets; ++b) {
           if (counts[b] == 0) continue;
-          if (!first_bucket) os << ",";
-          first_bucket = false;
-          os << "[" << LatencyHistogram::BucketUpperBound(b) << ","
-             << counts[b] << "]";
+          w.BeginArray().Number(LatencyHistogram::BucketUpperBound(b));
+          w.Number(counts[b]).EndArray();
         }
-        os << "]}";
+        w.EndArray().EndObject();
         break;
       }
     }
   });
-  os << "\n}}\n";
+  w.EndObject().EndObject();
+  os << '\n';
 }
 
 void WriteCsvTimeSeries(const std::vector<SnapshotRow>& rows,

@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "common/json.h"
 #include "telemetry/exporters.h"
 
 namespace arlo::telemetry {
@@ -712,19 +713,16 @@ void TelemetrySink::RecordStageTimeline(std::uint64_t request_id,
   }
 }
 
-void TelemetrySink::WriteStageSummaryJson(std::ostream& os) const {
-  os << '{';
-  bool first = true;
+void TelemetrySink::WriteStageSummaryJson(json::Writer& w) const {
+  w.BeginObject();
   for (std::size_t i = 0; i < stage_.size(); ++i) {
     const LatencyHistogram* h = stage_[i];
     if (h == nullptr) continue;
-    if (!first) os << ',';
-    first = false;
-    os << '"' << StageName(static_cast<Stage>(i))
-       << "\":{\"count\":" << h->Count() << ",\"p50_ns\":" << h->Quantile(0.50)
-       << ",\"p98_ns\":" << h->Quantile(0.98) << '}';
+    w.Key(StageName(static_cast<Stage>(i))).BeginObject();
+    w.Field("count", h->Count()).Field("p50_ns", h->Quantile(0.50));
+    w.Field("p98_ns", h->Quantile(0.98)).EndObject();
   }
-  os << '}';
+  w.EndObject();
 }
 
 void TelemetrySink::SyncTraceDropped() const {

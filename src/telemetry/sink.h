@@ -353,7 +353,7 @@ class TelemetrySink {
   /// Per-stage {count, p50_ns, p98_ns} summary as one JSON object — the
   /// "stages" block of /statusz and /fleetz.  Emits only enabled stages;
   /// "{}" when stage metrics are off.
-  void WriteStageSummaryJson(std::ostream& os) const;
+  void WriteStageSummaryJson(json::Writer& w) const;
 
   // --- gauges ------------------------------------------------------------
   void SetClusterGauges(std::int64_t instances, std::int64_t outstanding,

@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "common/check.h"
+#include "common/json.h"
 
 namespace arlo::telemetry {
 namespace {
@@ -12,35 +13,31 @@ namespace {
 /// Microsecond timestamp with fixed 3-decimal formatting ("12.345"): the
 /// Chrome trace clock is microseconds, ours is nanoseconds, and snprintf
 /// with a fixed precision keeps serialization deterministic.
-void AppendMicros(std::ostream& os, std::int64_t ns) {
+void Micros(json::Writer& w, std::string_view key, std::int64_t ns) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%lld.%03d",
                 static_cast<long long>(ns / 1000),
                 static_cast<int>(std::llabs(ns % 1000)));
-  os << buf;
+  w.Key(key).Raw(buf);
 }
 
 }  // namespace
 
-void AppendChromeEvent(std::ostream& os, const TraceEventView& event) {
-  os << "{\"name\":\"" << event.name << "\",\"cat\":\"" << event.category
-     << "\",\"ph\":\"" << event.phase << "\",\"ts\":";
-  AppendMicros(os, event.ts);
-  if (event.phase == 'X') {
-    os << ",\"dur\":";
-    AppendMicros(os, event.dur);
-  }
-  if (event.phase == 'i') os << ",\"s\":\"t\"";
-  os << ",\"pid\":0,\"tid\":" << event.tid;
+void AppendChromeEvent(json::Writer& w, const TraceEventView& event) {
+  w.BeginObject().Field("name", event.name).Field("cat", event.category);
+  w.Field("ph", std::string_view(&event.phase, 1));
+  Micros(w, "ts", event.ts);
+  if (event.phase == 'X') Micros(w, "dur", event.dur);
+  if (event.phase == 'i') w.Field("s", "t");
+  w.Field("pid", 0).Field("tid", event.tid);
   if (event.num_args > 0) {
-    os << ",\"args\":{";
+    w.Key("args").BeginObject();
     for (int i = 0; i < event.num_args; ++i) {
-      if (i > 0) os << ",";
-      os << "\"" << event.args[i].key << "\":" << event.args[i].value;
+      w.Field(event.args[i].key, event.args[i].value);
     }
-    os << "}";
+    w.EndObject();
   }
-  os << "}";
+  w.EndObject();
 }
 
 void TraceRecorder::Push(Event event, std::initializer_list<TraceArg> args) {
@@ -116,12 +113,9 @@ void TraceRecorder::WriteJson(std::ostream& os) const {
   std::stable_sort(events.begin(), events.end(),
                    [](const Event& a, const Event& b) { return a.ts < b.ts; });
 
-  os << "{\"traceEvents\":[";
-  bool first = true;
+  json::Writer w(os);
+  w.BeginObject().Key("traceEvents").BeginArray(json::Writer::Layout::kLines);
   for (const Event& e : events) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n";
     TraceEventView view;
     view.name = e.name;
     view.category = e.category;
@@ -131,10 +125,11 @@ void TraceRecorder::WriteJson(std::ostream& os) const {
     view.tid = e.tid;
     view.num_args = e.num_args;
     view.args = e.args;
-    AppendChromeEvent(os, view);
+    AppendChromeEvent(w, view);
   }
-  os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"run_id\":\""
-     << run_id_ << "\"}}\n";
+  w.EndArray().Field("displayTimeUnit", "ms").Key("otherData").BeginObject();
+  w.Field("run_id", std::to_string(run_id_)).EndObject().EndObject();
+  os << '\n';
 }
 
 }  // namespace arlo::telemetry

@@ -19,6 +19,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/json.h"
 #include "common/types.h"
 
 namespace arlo::telemetry {
@@ -115,9 +116,9 @@ class TraceRecorder {
   std::size_t dropped_ = 0;
 };
 
-/// Appends one Chrome trace_event JSON object for `event` to `os` (no
-/// trailing comma).  Shared between TraceRecorder::WriteJson and the obs
-/// flight recorder so both emit the identical format.
-void AppendChromeEvent(std::ostream& os, const TraceEventView& event);
+/// Writes one Chrome trace_event JSON object for `event`.  Shared between
+/// TraceRecorder::WriteJson and the obs flight recorder so both emit the
+/// identical format.
+void AppendChromeEvent(json::Writer& w, const TraceEventView& event);
 
 }  // namespace arlo::telemetry

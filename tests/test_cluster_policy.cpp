@@ -9,6 +9,7 @@
 
 #include "cluster/policy.h"
 #include "cluster/router_admin.h"
+#include "serving/statusz.h"
 #include "obs/probe.h"
 
 namespace arlo::cluster {
@@ -189,7 +190,7 @@ TEST(ClusterPolicy, StatuszParsingExtractsRouterRelevantFields) {
       "\"queued\":1,\"executing\":1}],"
       "\"scheme\":{\"allocation\":[1,1]}}";
   obs::NodeProbe probe;
-  obs::ParseStatusz(body, probe);
+  serving::ParseStatusz(body, probe);
   EXPECT_DOUBLE_EQ(probe.time_s, 2.5);
   EXPECT_EQ(probe.submitted, 120);
   EXPECT_EQ(probe.completed, 100);
@@ -198,15 +199,7 @@ TEST(ClusterPolicy, StatuszParsingExtractsRouterRelevantFields) {
   EXPECT_EQ(probe.live_workers, 3);
   EXPECT_EQ(probe.est_queue_delay_ns, 7'500'000);
   // Only the two ready workers contribute to the length profile.
-  EXPECT_EQ(probe.ready_worker_max_lengths, (std::vector<int>{512, 2048}));
-}
-
-TEST(ClusterPolicy, JsonFindNumberMissesAbsentKeys) {
-  double value = -1.0;
-  EXPECT_FALSE(obs::JsonFindNumber("{\"a\":1}", "b", value));
-  EXPECT_TRUE(obs::JsonFindNumber("{\"a\":1,\"b\":-2.5}", "b", value));
-  EXPECT_DOUBLE_EQ(value, -2.5);
-  EXPECT_FALSE(obs::JsonFindNumber("{\"b\":\"str\"}", "b", value));
+  EXPECT_EQ(probe.ReadyMaxLengths(), (std::vector<int>{512, 2048}));
 }
 
 TEST(ClusterPolicy, QueryIntParsesAdminQueries) {

@@ -20,6 +20,7 @@
 #include "baselines/scenario.h"
 #include "cluster/router.h"
 #include "cluster/router_admin.h"
+#include "common/json.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/admin_server.h"
@@ -633,7 +634,8 @@ TEST(ClusterRouter, ClientDisconnectWithRequestsInFlight) {
   EXPECT_EQ(stats.no_node, 0u);
   EXPECT_EQ(router.Pool().Status()[0].inflight, 0);
   std::ostringstream status;
-  router.WriteStatusJson(status);
+  json::Writer status_writer(status);
+  router.WriteStatusJson(status_writer);
   EXPECT_NE(status.str().find("\"inflight\":0,"), std::string::npos)
       << status.str();
 
@@ -739,7 +741,8 @@ TEST(ClusterRouter, ProbeFailureEvictsAndShedsExplicitly) {
   EXPECT_EQ(router.Pool().Status()[0].down_reason,
             "2 consecutive failed probes");
   std::ostringstream status;
-  router.WriteStatusJson(status);
+  json::Writer status_writer(status);
+  router.WriteStatusJson(status_writer);
   EXPECT_NE(status.str().find(
                 "\"down_reason\":\"2 consecutive failed probes\""),
             std::string::npos)

@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <sstream>
 
 #include "common/cli.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 
 namespace arlo {
 namespace {
@@ -111,51 +109,6 @@ TEST(CliFlags, RejectUnknownHonorsExtraKnown) {
   // "pattern" is only read on some code paths; extra_known covers it.
   EXPECT_THROW(flags.RejectUnknown(), std::invalid_argument);
   EXPECT_NO_THROW(flags.RejectUnknown({"pattern"}));
-}
-
-TEST(ThreadPool, ExecutesSubmittedTasks) {
-  ThreadPool pool(2);
-  auto f1 = pool.Submit([] { return 21 * 2; });
-  auto f2 = pool.Submit([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(1);
-  auto f = pool.Submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, DrainsAllTasksOnDestruction) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 50; ++i) {
-      (void)pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ParallelFor, CoversAllIndicesOnce) {
-  std::vector<std::atomic<int>> hits(100);
-  ParallelFor(100, 4, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, SerialFallback) {
-  int order_check = 0;
-  ParallelFor(10, 1, [&order_check](std::size_t i) {
-    // Serial path preserves order.
-    EXPECT_EQ(order_check, static_cast<int>(i));
-    ++order_check;
-  });
-  EXPECT_EQ(order_check, 10);
-}
-
-TEST(ParallelFor, ZeroItemsIsNoop) {
-  ParallelFor(0, 4, [](std::size_t) { FAIL(); });
 }
 
 }  // namespace

@@ -108,8 +108,8 @@ TEST(CtrlLive, DriftReplansFleetMidRunWithZeroLoss) {
   // Every GPU boots on the largest runtime (empty initial demand).
   for (const auto& node : nodes) {
     const obs::NodeProbe probe = node->Probe();
-    ASSERT_EQ(probe.ready_worker_runtimes.size(), 2u);
-    for (int rt : probe.ready_worker_runtimes) {
+    ASSERT_EQ(probe.ReadyRuntimes().size(), 2u);
+    for (int rt : probe.ReadyRuntimes()) {
       EXPECT_EQ(rt, static_cast<int>(runtimes->Size()) - 1);
     }
   }
@@ -159,7 +159,7 @@ TEST(CtrlLive, DriftReplansFleetMidRunWithZeroLoss) {
   const auto MinReadyRuntime = [&] {
     int min_rt = static_cast<int>(runtimes->Size());
     for (const auto& node : nodes) {
-      for (int rt : node->Probe().ready_worker_runtimes) {
+      for (int rt : node->Probe().ReadyRuntimes()) {
         min_rt = std::min(min_rt, rt);
       }
     }
@@ -190,7 +190,7 @@ TEST(CtrlLive, DriftReplansFleetMidRunWithZeroLoss) {
   const int mid_bin = static_cast<int>(runtimes->IdealRuntimeFor(200));
   ASSERT_TRUE(WaitFor([&] {
     for (const auto& node : nodes) {
-      for (int rt : node->Probe().ready_worker_runtimes) {
+      for (int rt : node->Probe().ReadyRuntimes()) {
         if (rt >= mid_bin && rt < static_cast<int>(runtimes->Size()) - 1 &&
             rt != phase1_min_rt) {
           return true;

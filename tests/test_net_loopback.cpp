@@ -115,37 +115,6 @@ TEST(NetLoopback, ThousandRequestTraceZeroLoss) {
   EXPECT_EQ(sink.Net().open_connections->Value(), 0);
 }
 
-// Same path through the poll(2) backend: the epoll-less fallback must be
-// behaviorally identical.
-TEST(NetLoopback, PollBackendFallbackServesTheSameTrace) {
-  ScenarioConfig config;
-  config.gpus = 2;
-  auto scheme = MakeSchemeByName("st", config);
-  const trace::Trace t = StableTrace(200.0, 1.0, 22);
-
-  serving::TestbedConfig tb;
-  tb.time_scale = 0.5;
-  serving::LiveTestbed testbed(*scheme, tb);
-  testbed.Start();
-
-  ServerConfig sc;
-  sc.force_poll = true;
-  Server server(testbed, sc);
-  server.Start();
-
-  LoadGeneratorConfig lg;
-  lg.port = server.Port();
-  lg.connections = 2;
-  lg.time_scale = 0.5;
-  const LoadGeneratorResult result = RunLoadGenerator(t, lg);
-
-  EXPECT_EQ(result.Lost(), 0u);
-  EXPECT_EQ(result.CountByStatus(ReplyStatus::kOk), t.Size());
-
-  server.Stop();
-  (void)testbed.Finish();
-}
-
 // A connection that sends garbage is dropped without disturbing a healthy
 // connection on the same server.
 TEST(NetLoopback, GarbageConnectionIsDroppedOthersSurvive) {

@@ -4,14 +4,18 @@
 // contract (observers and mirrors must not perturb seeded trace output).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/scenario.h"
+#include "common/json.h"
+#include "common/rng.h"
 #include "obs/dump_trigger.h"
 #include "obs/flight_recorder.h"
 #include "obs/http.h"
@@ -100,6 +104,134 @@ TEST(ObsHttp, ReasonPhrases) {
   EXPECT_STREQ(HttpReason(404), "Not Found");
   EXPECT_STREQ(HttpReason(405), "Method Not Allowed");
   EXPECT_STREQ(HttpReason(503), "Service Unavailable");
+}
+
+// --- HTTP fuzz ------------------------------------------------------------
+//
+// Seeded mutation loops in the style of NetProtocolFuzz (no libFuzzer):
+// valid messages get byte flips, injected CRLFs, deletions, duplicated
+// chunks, truncation, and Content-Length values that are oversized or
+// overflow; the request parser is also fed at random split points.  Every
+// input must end complete, in error, or still waiting, never crash, and
+// nothing accepted may exceed the parsers' size caps.
+
+std::size_t Pick(Rng& rng, std::size_t n) {
+  return n == 0 ? 0 : static_cast<std::size_t>(rng.NextU64() % n);
+}
+
+std::string MutateHttp(std::string s, Rng& rng) {
+  static const char* const kLengths[] = {
+      "0", "5", "1048576", "1048577", "4294967296", "9223372036854775807",
+      "18446744073709551616", "99999999999999999999999", "-1", "+5", "0x10",
+      ""};
+  const std::size_t edits = 1 + Pick(rng, 4);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t pos = Pick(rng, s.size() + 1);
+    switch (Pick(rng, 6)) {
+      case 0:
+        if (pos < s.size()) s[pos] ^= static_cast<char>(1 + Pick(rng, 255));
+        break;
+      case 1: s.insert(pos, "\r\n"); break;
+      case 2: s.erase(pos, 1 + Pick(rng, 8)); break;
+      case 3: s.insert(pos, s.substr(Pick(rng, s.size()), 1 + Pick(rng, 16)));
+        break;
+      case 4: s.resize(pos); break;
+      case 5: {
+        const std::size_t cl = s.find("Content-Length: ");
+        if (cl == std::string::npos) break;
+        const std::size_t value = cl + 16;
+        const std::size_t eol = s.find("\r\n", value);
+        s.replace(value, eol == std::string::npos ? 0 : eol - value,
+                  kLengths[Pick(rng, std::size(kLengths))]);
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+TEST(ObsHttpFuzz, RequestParserEndsCompleteErrorOrWaitingWithinCaps) {
+  const std::vector<std::string> seeds = {
+      "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n",
+      "POST /realloc HTTP/1.1\r\nContent-Length: 9\r\n\r\nalloc=1,2",
+      "POST /debug/dump HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
+      // A header block right at the cap, so mutations cross it both ways.
+      "GET / HTTP/1.1\r\nX-Pad: " +
+          std::string(HttpRequestParser::kMaxHeaderBytes - 24, 'a') +
+          "\r\n\r\n"};
+  using State = HttpRequestParser::State;
+  Rng rng(2027);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::string input =
+        trial < 4 ? seeds[static_cast<std::size_t>(trial)]
+                  : MutateHttp(seeds[Pick(rng, seeds.size())], rng);
+    HttpRequestParser p;
+    std::size_t off = 0;
+    while (off < input.size()) {
+      // Mostly small chunks, sometimes the whole rest in one Feed.
+      const std::size_t chunk =
+          Pick(rng, 4) == 0 ? input.size()
+                            : 1 + Pick(rng, std::max<std::size_t>(
+                                               64, input.size() / 8));
+      const std::size_t n = std::min(input.size() - off, chunk);
+      const State before = p.GetState();
+      p.Feed(input.data() + off, n);
+      off += n;
+      const State after = p.GetState();
+      ASSERT_TRUE(after == State::kHeaders || after == State::kBody ||
+                  after == State::kComplete || after == State::kError);
+      if (before == State::kComplete || before == State::kError) {
+        ASSERT_EQ(after, before) << "terminal states are sticky";
+      }
+    }
+    if (!p.Complete()) continue;
+    const std::size_t header_end = input.find("\r\n\r\n");
+    ASSERT_NE(header_end, std::string::npos);
+    EXPECT_LE(header_end, HttpRequestParser::kMaxHeaderBytes) << trial;
+    EXPECT_LE(p.Request().body.size(), HttpRequestParser::kMaxBodyBytes);
+    EXPECT_EQ(p.Request().path.front(), '/');
+  }
+}
+
+TEST(ObsHttpFuzz, ResponseParserNeverCrashesAndStaysWithinCaps) {
+  std::vector<std::string> seeds;
+  for (const auto& [status, body] :
+       std::vector<std::pair<int, std::string>>{
+           {200, "{\"ok\":true}"}, {503, "no telemetry sink\n"},
+           {404, ""}, {200, std::string(3000, 'x')}}) {
+    HttpResponse r;
+    r.status = status;
+    r.body = body;
+    seeds.push_back(SerializeResponse(r));
+  }
+  Rng rng(2028);
+  int ok = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::string input =
+        trial < 4 ? seeds[static_cast<std::size_t>(trial)]
+                  : MutateHttp(seeds[Pick(rng, seeds.size())], rng);
+    const HttpResult r = ParseHttpResponse(input);
+    if (trial < 4) {
+      ASSERT_TRUE(r.ok) << input;
+    }
+    if (!r.ok) continue;
+    ++ok;
+    EXPECT_GE(r.status, 100);
+    EXPECT_LE(r.status, 999);
+    EXPECT_LE(input.size(), kHttpFetchMaxResponseBytes);
+    ASSERT_LE(r.body.size(), input.size());
+    EXPECT_EQ(input.compare(input.size() - r.body.size(), r.body.size(),
+                            r.body),
+              0)
+        << "the body is the rest of the response";
+    EXPECT_EQ(r.content_type.find("\r\n"), std::string::npos)
+        << "content type ran past its header line: " << r.content_type;
+  }
+  EXPECT_GT(ok, 4);
+  // Over the cap fails however well-formed it is.
+  HttpResponse big;
+  big.body = std::string(kHttpFetchMaxResponseBytes, 'x');
+  EXPECT_FALSE(ParseHttpResponse(SerializeResponse(big)).ok);
 }
 
 // --- flight recorder ------------------------------------------------------
@@ -286,7 +418,8 @@ TEST(ObsSloMonitor, WriteJsonShape) {
   SloMonitor mon(OneWindowConfig());
   mon.Observe(Millis(1), false);
   std::ostringstream os;
-  mon.WriteJson(os, Millis(2));
+  json::Writer w(os);
+  mon.WriteJson(w, Millis(2));
   const std::string out = os.str();
   EXPECT_NE(out.find("\"slo_ms\":"), std::string::npos);
   EXPECT_NE(out.find("\"windows\":["), std::string::npos);
@@ -445,7 +578,8 @@ TEST(ObsDeterminism, SloBurnTrajectoryIsReproduciblePerSeed) {
     engine.telemetry = &sink;
     (void)sim::RunScenario(t, *scheme, engine);
     std::ostringstream os;
-    slo.WriteJson(os, Seconds(2.0));
+    json::Writer w(os);
+    slo.WriteJson(w, Seconds(2.0));
     return os.str();
   };
   EXPECT_EQ(run(), run());

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/scenario.h"
@@ -112,7 +113,7 @@ TEST(ObsAdmin, ConcurrentClientsAllGetResponses) {
 /// does, submits traffic, and lets each test poke the endpoints.
 class ObsAdminPlaneTest : public ::testing::Test {
  protected:
-  void StartPlane(bool force_poll = false) {
+  void StartPlane() {
     telemetry::TelemetryConfig tc;
     tc.concurrency = telemetry::Concurrency::kMultiThreaded;
     sink_ = std::make_unique<telemetry::TelemetrySink>(tc);
@@ -132,7 +133,6 @@ class ObsAdminPlaneTest : public ::testing::Test {
     backend_->Start();
 
     AdminPlaneConfig apc;
-    apc.force_poll = force_poll;
     apc.sink = sink_.get();
     apc.statusz = [this](std::ostream& os) { backend_->WriteStatusJson(os); };
     apc.healthz = [this] {
@@ -303,19 +303,6 @@ TEST_F(ObsAdminPlaneTest, ScrapeStormWhileServing) {
             std::string::npos);
 }
 
-TEST_F(ObsAdminPlaneTest, PollBackendServesTheSameEndpoints) {
-  config_.gpus = 2;
-  StartPlane(/*force_poll=*/true);
-  SubmitBurst(10);
-  backend_->Drain();
-  for (const char* path : {"/metrics", "/healthz", "/statusz", "/slo"}) {
-    const HttpResult r = HttpFetch(plane_->Port(), "GET", path);
-    ASSERT_TRUE(r.ok) << path;
-    EXPECT_EQ(r.status, 200) << path;
-    EXPECT_FALSE(r.body.empty()) << path;
-  }
-}
-
 TEST(ObsAdmin, EndpointsAnswer503WhenProvidersAbsent) {
   AdminPlaneConfig apc;  // everything null
   AdminPlane plane(apc);
@@ -419,12 +406,10 @@ TEST(ObsFetch, GivesUpOnASilentListener) {
   EXPECT_GE(std::chrono::steady_clock::now() - start, kHttpFetchDeadline);
 }
 
-// A response whose body stops short of its Content-Length (the peer died
-// mid-write) is a failed fetch, not a short answer.
-TEST(ObsFetch, BodyShorterThanContentLengthFails) {
-  net::ScopedFd listener = net::ListenTcp(0);
-  const std::uint16_t port = net::LocalPort(listener.Get());
-  std::thread server([&listener] {
+/// Accepts one connection on `listener`, reads the request head, sends
+/// `answer` and closes.
+std::thread AnswerOnce(const net::ScopedFd& listener, std::string answer) {
+  return std::thread([&listener, answer = std::move(answer)] {
     net::ScopedFd conn(::accept(listener.Get(), nullptr, nullptr));
     std::string request;
     char buf[1024];
@@ -433,12 +418,49 @@ TEST(ObsFetch, BodyShorterThanContentLengthFails) {
       if (n <= 0) return;
       request.append(buf, static_cast<std::size_t>(n));
     }
-    const std::string answer =
-        "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n"
-        "Connection: close\r\n\r\n{\"time_s\":1";
-    (void)::send(conn.Get(), answer.data(), answer.size(), MSG_NOSIGNAL);
+    // The client may stop reading and close early; a failed send ends it.
+    for (std::size_t off = 0; off < answer.size();) {
+      const ssize_t n = ::send(conn.Get(), answer.data() + off,
+                               answer.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) return;
+      off += static_cast<std::size_t>(n);
+    }
   });
-  const HttpResult result = HttpFetch(port, "GET", "/statusz");
+}
+
+// A response whose body stops short of its Content-Length (the peer died
+// mid-write) is a failed fetch, not a short answer.
+TEST(ObsFetch, BodyShorterThanContentLengthFails) {
+  net::ScopedFd listener = net::ListenTcp(0);
+  std::thread server = AnswerOnce(
+      listener,
+      "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n"
+      "Connection: close\r\n\r\n{\"time_s\":1");
+  const HttpResult result =
+      HttpFetch(net::LocalPort(listener.Get()), "GET", "/statusz");
+  server.join();
+  EXPECT_FALSE(result.ok);
+}
+
+// A complete, well-formed response one byte over the cap fails the fetch:
+// an admin port that streams bytes cannot grow the caller without bound.
+TEST(ObsFetch, ResponseLargerThanTheCapFails) {
+  const std::string head_template =
+      "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: ";
+  // The length's digit count does not change for bodies near 4 MiB.
+  const std::size_t head_size =
+      head_template.size() + std::to_string(kHttpFetchMaxResponseBytes).size() +
+      std::string("\r\nConnection: close\r\n\r\n").size();
+  const std::size_t body_size = kHttpFetchMaxResponseBytes + 1 - head_size;
+  const std::string answer = head_template + std::to_string(body_size) +
+                             "\r\nConnection: close\r\n\r\n" +
+                             std::string(body_size, 'x');
+  ASSERT_EQ(answer.size(), kHttpFetchMaxResponseBytes + 1);
+
+  net::ScopedFd listener = net::ListenTcp(0);
+  std::thread server = AnswerOnce(listener, answer);
+  const HttpResult result =
+      HttpFetch(net::LocalPort(listener.Get()), "GET", "/statusz");
   server.join();
   EXPECT_FALSE(result.ok);
 }

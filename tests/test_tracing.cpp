@@ -23,6 +23,7 @@
 #include "baselines/scenario.h"
 #include "cluster/router.h"
 #include "common/cli.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "net/client.h"
 #include "net/protocol.h"
@@ -246,7 +247,8 @@ TEST(TraceStages, StageHistogramsExportAndSummarize) {
     sink.WritePrometheus(os);
     EXPECT_EQ(os.str().find("arlo_stage_latency_ns"), std::string::npos);
     std::ostringstream summary;
-    sink.WriteStageSummaryJson(summary);
+    json::Writer summary_writer(summary);
+    sink.WriteStageSummaryJson(summary_writer);
     EXPECT_EQ(summary.str(), "{}");
   }
 
@@ -275,7 +277,8 @@ TEST(TraceStages, StageHistogramsExportAndSummarize) {
   EXPECT_EQ(prom.find("stage=\"wire\""), std::string::npos);
 
   std::ostringstream summary;
-  sink.WriteStageSummaryJson(summary);
+  json::Writer summary_writer(summary);
+  sink.WriteStageSummaryJson(summary_writer);
   const std::string json = summary.str();
   EXPECT_NE(json.find("\"queue\":{\"count\":10"), std::string::npos) << json;
   EXPECT_NE(json.find("\"prefill\":{\"count\":1"), std::string::npos);
@@ -550,9 +553,9 @@ const char* kGoodStatusz =
 
 TEST(TraceProbe, ValidStatuszParses) {
   obs::NodeProbe probe;
-  ASSERT_TRUE(obs::ParseStatusz(kGoodStatusz, probe));
+  ASSERT_TRUE(serving::ParseStatusz(kGoodStatusz, probe));
   EXPECT_EQ(probe.submitted, 120);
-  EXPECT_EQ(probe.ready_worker_max_lengths, (std::vector<int>{512}));
+  EXPECT_EQ(probe.ReadyMaxLengths(), (std::vector<int>{512}));
 }
 
 TEST(TraceProbe, TruncatedStatuszIsRejectedAtomically) {
@@ -563,39 +566,40 @@ TEST(TraceProbe, TruncatedStatuszIsRejectedAtomically) {
        {std::size_t{1}, std::size_t{20}, std::size_t{80}, body.size() - 1}) {
     obs::NodeProbe probe;
     probe.submitted = -7;  // sentinel
-    EXPECT_FALSE(obs::ParseStatusz(body.substr(0, cut), probe)) << cut;
+    EXPECT_FALSE(serving::ParseStatusz(body.substr(0, cut), probe)) << cut;
     EXPECT_EQ(probe.submitted, -7) << "partial parse leaked at cut " << cut;
-    EXPECT_TRUE(probe.ready_worker_max_lengths.empty());
+    EXPECT_TRUE(probe.ReadyMaxLengths().empty());
   }
 }
 
 TEST(TraceProbe, MalformedPayloadsAreRejected) {
   obs::NodeProbe probe;
-  EXPECT_FALSE(obs::ParseStatusz("", probe));
-  EXPECT_FALSE(obs::ParseStatusz("null", probe));
-  EXPECT_FALSE(obs::ParseStatusz("[1,2,3]", probe));
-  EXPECT_FALSE(obs::ParseStatusz("<html>502 Bad Gateway</html>", probe));
+  EXPECT_FALSE(serving::ParseStatusz("", probe));
+  EXPECT_FALSE(serving::ParseStatusz("null", probe));
+  EXPECT_FALSE(serving::ParseStatusz("[1,2,3]", probe));
+  EXPECT_FALSE(serving::ParseStatusz("<html>502 Bad Gateway</html>", probe));
   // Trailing garbage after a complete object: not one JSON document.
   EXPECT_FALSE(
-      obs::ParseStatusz(std::string(kGoodStatusz) + "{\"x\":1}", probe));
+      serving::ParseStatusz(std::string(kGoodStatusz) + "{\"x\":1}", probe));
   // Balanced but missing the core fields every node statusz carries.
-  EXPECT_FALSE(obs::ParseStatusz("{\"time_s\":1.0,\"submitted\":3}", probe));
+  EXPECT_FALSE(
+      serving::ParseStatusz("{\"time_s\":1.0,\"submitted\":3}", probe));
   // Braces inside strings must not fool the balance check.
   obs::NodeProbe ok;
   std::string tricky(kGoodStatusz);
   tricky.insert(1, "\"note\":\"{[\\\"}\",");
-  EXPECT_TRUE(obs::ParseStatusz(tricky, ok));
+  EXPECT_TRUE(serving::ParseStatusz(tricky, ok));
 }
 
 TEST(TraceProbe, WorkerlessStatuszStillParses) {
   // A body with the core fields but no workers array: valid (a node with
   // no workers yet), parsing to an empty profile rather than failing.
   obs::NodeProbe probe;
-  ASSERT_TRUE(obs::ParseStatusz(
+  ASSERT_TRUE(serving::ParseStatusz(
       "{\"time_s\":0.1,\"submitted\":0,\"completed\":0,\"inflight\":0,"
       "\"buffered\":0,\"live_workers\":0,\"est_queue_delay_ns\":0}",
       probe));
-  EXPECT_TRUE(probe.ready_worker_max_lengths.empty());
+  EXPECT_TRUE(probe.ReadyMaxLengths().empty());
 }
 
 }  // namespace
