@@ -336,8 +336,8 @@ Row RunCell(bool with_ctrl, const std::string& backend_binary, int nodes,
   row.replans = cs.replans;
   row.deltas_applied = cs.deltas_applied;
   row.deltas_rejected = cs.deltas_rejected;
-  if (with_ctrl) {
-    row.apply_ms = sink.Ctrl().apply_ns->MeanNs() / 1e6;
+  if (scheduler) {
+    row.apply_ms = scheduler->Metrics().apply_ns->MeanNs() / 1e6;
   }
   return row;
 }

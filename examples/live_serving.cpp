@@ -126,15 +126,6 @@ void PrintTelemetrySummary(const telemetry::TelemetrySink& sink) {
             << ", retirements " << s.retirements->Value() << ", failures "
             << s.failures->Value() << ", retries " << s.retries->Value()
             << "\n";
-  const auto& n = sink.Net();
-  if (n.connections_total->Value() > 0) {
-    std::cout << "  net: connections " << n.connections_total->Value()
-              << ", accepted " << n.accepted->Value() << ", rejected "
-              << n.rejected_rate->Value() + n.rejected_inflight->Value()
-              << ", deadline-shed " << n.shed_deadline->Value() << ", bytes "
-              << n.bytes_in->Value() << " in / " << n.bytes_out->Value()
-              << " out\n";
-  }
 }
 
 /// Parses --tenant-mix: comma-separated per-class arrival fractions.
@@ -531,7 +522,8 @@ int main(int argc, char** argv) {
     std::cout << "server: " << stats.connections_accepted << " connections, "
               << stats.accepted << " accepted, " << stats.TotalRejected()
               << " rejected, " << stats.replies_sent << " replies, "
-              << stats.protocol_errors << " protocol errors\n";
+              << stats.protocol_errors << " protocol errors, bytes "
+              << stats.bytes_in << " in / " << stats.bytes_out << " out\n";
     if (admin_plane) admin_plane->Stop();  // providers reference the backend
     result = backend.Finish();
   } else {

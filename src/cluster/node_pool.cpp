@@ -2,9 +2,39 @@
 
 #include <algorithm>
 
-#include "telemetry/sink.h"
-
 namespace arlo::cluster {
+
+ClusterMetrics::ClusterMetrics(telemetry::MetricsRegistry& registry)
+    : registry(registry),
+      routed(registry.GetCounter(
+          "arlo_cluster_routed_total",
+          "SubmitRequests forwarded to a backend node by the router")),
+      replies(registry.GetCounter("arlo_cluster_replies_total",
+                                  "Backend replies relayed to clients")),
+      retries(registry.GetCounter(
+          "arlo_cluster_retries_total",
+          "In-flight requests re-routed after their node died")),
+      no_node(registry.GetCounter(
+          "arlo_cluster_no_node_total",
+          "Requests explicitly shed because no backend node was routable")),
+      evictions(registry.GetCounter("arlo_cluster_evictions_total",
+                                    "Nodes evicted on probe failure")),
+      joins(registry.GetCounter("arlo_cluster_joins_total",
+                                "Nodes joined into the pool")),
+      drains(registry.GetCounter("arlo_cluster_drains_total",
+                                 "Graceful node drains initiated")),
+      probe_failures(registry.GetCounter(
+          "arlo_cluster_probe_failures_total",
+          "Individual failed admin-plane probes (N consecutive evict a "
+          "node)")),
+      nodes_routable(registry.GetGauge("arlo_cluster_nodes_routable",
+                                       "Backend nodes accepting new routes")),
+      inflight(registry.GetGauge(
+          "arlo_cluster_inflight",
+          "Router-side in-flight requests across all nodes")),
+      route_latency_ns(registry.GetHistogram(
+          "arlo_cluster_route_latency_ns",
+          "Submit forwarded to final reply, as seen by the router")) {}
 
 const char* NodeStateName(NodeState state) {
   switch (state) {
@@ -22,8 +52,9 @@ const char* NodeStateName(NodeState state) {
   return "unknown";
 }
 
-NodePool::NodePool(NodePoolConfig config, net::Poller& poller)
-    : config_(config), poller_(poller) {}
+NodePool::NodePool(NodePoolConfig config, net::Poller& poller,
+                   ClusterMetrics& metrics)
+    : config_(config), poller_(poller), metrics_(metrics) {}
 
 NodePool::~NodePool() { StopProber(); }
 
@@ -88,6 +119,13 @@ int NodePool::Adopt(const NodeEndpoint& endpoint, net::ScopedFd fd) {
     auto n = std::make_unique<Node>();
     n->endpoint = ep;
     node = static_cast<int>(nodes_.size());
+    const std::string label = "{node=\"" + std::to_string(node) + "\"}";
+    n->routed = metrics_.registry.GetCounter(
+        "arlo_cluster_node_routed_total" + label,
+        "SubmitRequests routed to one backend node");
+    n->route_latency = metrics_.registry.GetHistogram(
+        "arlo_cluster_node_route_latency_ns" + label,
+        "Per-node submit-to-reply latency as seen by the router");
     NodeView view;
     view.node = node;
     views_.push_back(std::move(view));
@@ -99,7 +137,7 @@ int NodePool::Adopt(const NodeEndpoint& endpoint, net::ScopedFd fd) {
   poller_.Add(n.conn.fd.Get(), /*want_read=*/true, /*want_write=*/false);
   SetInflight(node, 0);
   SetState(node, NodeState::kHealthy);
-  if (config_.sink) config_.sink->RecordClusterJoin(node);
+  metrics_.joins->Add();
   return node;
 }
 
@@ -107,7 +145,7 @@ bool NodePool::Drain(int node) {
   if (node < 0 || node >= static_cast<int>(nodes_.size())) return false;
   if (StateOf(node) != NodeState::kHealthy) return false;
   SetState(node, NodeState::kDraining);
-  if (config_.sink) config_.sink->RecordClusterDrain(node);
+  metrics_.drains->Add();
   FinishDrainIfIdle(node);
   return true;
 }
@@ -125,7 +163,7 @@ bool NodePool::MarkDown(int node, std::string reason) {
   SetState(node, NodeState::kEvicted);
   SetInflight(node, 0);
   CloseConn(n);
-  if (config_.sink) config_.sink->RecordClusterEviction(node);
+  metrics_.evictions->Add();
   return true;
 }
 
@@ -150,7 +188,7 @@ bool NodePool::ApplyProbe(int node, const obs::NodeProbe& probe) {
   const int failures =
       n.probe_failures.load(std::memory_order_relaxed) + 1;
   n.probe_failures.store(failures, std::memory_order_relaxed);
-  if (config_.sink) config_.sink->RecordClusterProbeFailure(node);
+  metrics_.probe_failures->Add();
   return failures >= config_.probe_failures_to_evict &&
          state == NodeState::kHealthy;
 }
@@ -159,7 +197,11 @@ void NodePool::Reserve(int node) {
   SetInflight(node, views_[static_cast<std::size_t>(node)].inflight + 1);
 }
 
-void NodePool::Release(int node, std::int64_t service_ns) {
+void NodePool::Release(int node, std::int64_t service_ns,
+                       std::int64_t route_ns) {
+  metrics_.replies->Add();
+  metrics_.route_latency_ns->Record(route_ns);
+  nodes_[static_cast<std::size_t>(node)]->route_latency->Record(route_ns);
   NodeView& view = views_[static_cast<std::size_t>(node)];
   if (service_ns > 0) {
     const std::int64_t old = view.service_ewma_ns;
@@ -170,8 +212,9 @@ void NodePool::Release(int node, std::int64_t service_ns) {
 }
 
 void NodePool::NoteRouted(int node, int count) {
-  nodes_[static_cast<std::size_t>(node)]->routed.fetch_add(
-      count, std::memory_order_relaxed);
+  const auto n = static_cast<std::uint64_t>(count);
+  metrics_.routed->Add(n);
+  nodes_[static_cast<std::size_t>(node)]->routed->Add(n);
 }
 
 void NodePool::FinishDrainIfIdle(int node) {
@@ -232,9 +275,8 @@ void NodePool::ProberLoop(const ProbeSink& deliver) {
       // backends).  The blocking HTTP round runs here, never on the loop.
       if (admin_port != 0) deliver(node, obs::ProbeAdminEndpoint(admin_port));
     }
-    if (config_.sink) {
-      config_.sink->SetClusterNodeGauges(NumRoutable(), TotalInflight());
-    }
+    metrics_.nodes_routable->Set(NumRoutable());
+    metrics_.inflight->Set(TotalInflight());
   }
 }
 
@@ -249,7 +291,7 @@ std::vector<NodeStatus> NodePool::Status() const {
     status.endpoint = n.endpoint;
     status.state =
         static_cast<NodeState>(n.state.load(std::memory_order_acquire));
-    status.routed = n.routed.load(std::memory_order_relaxed);
+    status.routed = static_cast<std::int64_t>(n.routed->Value());
     status.inflight = n.inflight.load(std::memory_order_relaxed);
     status.est_queue_delay_ns =
         n.est_queue_delay_ns.load(std::memory_order_relaxed);

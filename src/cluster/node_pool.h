@@ -1,7 +1,7 @@
 // NodePool: the router's table of backend nodes.  Each slot holds the
 // node's wire connection (a net::Conn the router's event loop reads and
-// flushes), its lifecycle state, its router-side counters, and the NodeView
-// the routing policy picks from.  A prober thread polls each node's admin
+// flushes), its lifecycle state, its per-node metric series, and the
+// NodeView the routing policy picks from.  A prober thread polls each node's admin
 // plane (/healthz + /statusz) and hands every result to the loop, which
 // evicts a node after N consecutive failures.  The lifecycle:
 //
@@ -23,7 +23,8 @@
 // Threads: the router's event-loop thread owns the pool, and every method
 // not marked otherwise runs on it (or before the loop starts / after it
 // stops).  Status, NumNodes, NumRoutable and TotalInflight read values the
-// loop publishes and are safe from any thread.  The prober thread reads
+// loop publishes (atomics and the router's ClusterMetrics) and are safe
+// from any thread.  The prober thread reads
 // admin ports and states only; it never touches a connection.
 #pragma once
 
@@ -41,12 +42,32 @@
 #include "cluster/policy.h"
 #include "net/conn.h"
 #include "obs/probe.h"
-
-namespace arlo::telemetry {
-class TelemetrySink;
-}
+#include "telemetry/metrics.h"
 
 namespace arlo::cluster {
+
+/// The router tier's metric family (arlo_cluster_*; docs/CLUSTER.md), the
+/// only copy of these counts.  The Router registers it on its sink's
+/// registry (on one it owns without a sink) and hands it to its NodePool;
+/// Router::GetStats and NodePool::Status read it back.  NodePool::Adopt
+/// registers the per-node {node="i"} series on `registry`.
+struct ClusterMetrics {
+  explicit ClusterMetrics(telemetry::MetricsRegistry& registry);
+
+  telemetry::MetricsRegistry& registry;
+  telemetry::Counter* routed;          ///< submits forwarded to a backend
+  telemetry::Counter* replies;         ///< backend replies relayed to clients
+  telemetry::Counter* retries;         ///< re-routes after a node died
+  telemetry::Counter* no_node;         ///< explicit sheds: no routable node
+  telemetry::Counter* evictions;       ///< nodes evicted (any down cause)
+  telemetry::Counter* joins;           ///< nodes joined (incl. resurrections)
+  telemetry::Counter* drains;          ///< graceful drains initiated
+  telemetry::Counter* probe_failures;  ///< individual failed admin probes
+  telemetry::Gauge* nodes_routable;
+  telemetry::Gauge* inflight;  ///< router-side in flight across all nodes
+  /// Submit forwarded to final reply, as seen by the router (wall ns).
+  telemetry::LatencyHistogram* route_latency_ns;
+};
 
 struct NodeEndpoint {
   std::string name;             ///< for statusz; defaults to "node-<port>"
@@ -68,7 +89,6 @@ struct NodePoolConfig {
   std::chrono::milliseconds probe_period{100};
   /// Consecutive failed probes before a node is evicted.
   int probe_failures_to_evict = 3;
-  telemetry::TelemetrySink* sink = nullptr;  ///< optional
 };
 
 /// Everything /statusz reports about one node.
@@ -88,8 +108,10 @@ struct NodeStatus {
 
 class NodePool {
  public:
-  /// Node connections are registered on `poller` (the router loop's).
-  NodePool(NodePoolConfig config, net::Poller& poller);
+  /// Node connections are registered on `poller` (the router loop's); the
+  /// pool counts into `metrics` (the router's).
+  NodePool(NodePoolConfig config, net::Poller& poller,
+           ClusterMetrics& metrics);
   ~NodePool();  ///< StopProber()
 
   NodePool(const NodePool&) = delete;
@@ -116,10 +138,12 @@ class NodePool {
 
   /// Counts one request in flight on `node` (a routable node).
   void Reserve(int node);
-  /// Balances one Reserve when its reply arrived.  A positive `service_ns`
-  /// (from the reply) feeds the service-time EWMA that EffectiveQueueDelay
-  /// uses to de-herd stale probe estimates.
-  void Release(int node, std::int64_t service_ns);
+  /// Balances one Reserve when its reply arrived, `route_ns` after the
+  /// request was first forwarded: counts the reply and its latency, fleet
+  /// wide and for `node`.  A positive `service_ns` (from the reply) feeds
+  /// the service-time EWMA that EffectiveQueueDelay uses to de-herd stale
+  /// probe estimates.
+  void Release(int node, std::int64_t service_ns, std::int64_t route_ns);
   /// `count` reserved frames were handed to `node`'s socket.
   void NoteRouted(int node, int count);
 
@@ -154,10 +178,12 @@ class NodePool {
     // Published by the loop for other threads:
     std::atomic<int> state{static_cast<int>(NodeState::kJoining)};
     std::atomic<int> inflight{0};
-    std::atomic<std::int64_t> routed{0};
     std::atomic<int> probe_failures{0};
     std::atomic<std::int64_t> est_queue_delay_ns{0};
     std::atomic<int> live_workers{0};
+    // Registered when the slot is created, then fixed:
+    telemetry::Counter* routed = nullptr;  ///< this node's share of routed
+    telemetry::LatencyHistogram* route_latency = nullptr;
     // Loop only:
     net::Conn conn;
   };
@@ -171,6 +197,7 @@ class NodePool {
 
   NodePoolConfig config_;
   net::Poller& poller_;
+  ClusterMetrics& metrics_;
 
   mutable std::mutex slots_mu_;  ///< guards nodes_ growth and Node strings
   std::vector<std::unique_ptr<Node>> nodes_;  // slots never removed

@@ -28,7 +28,9 @@ constexpr auto kLaterDue = [](const auto& a, const auto& b) {
 
 }  // namespace
 
-Router::Router(RouterConfig config) : config_(std::move(config)) {}
+Router::Router(RouterConfig config)
+    : config_(std::move(config)),
+      metrics_(config_.sink ? config_.sink->Registry() : own_registry_) {}
 
 Router::~Router() { Stop(); }
 
@@ -51,8 +53,7 @@ void Router::Start() {
   NodePoolConfig pool_config;
   pool_config.probe_period = config_.probe_period;
   pool_config.probe_failures_to_evict = config_.probe_failures_to_evict;
-  pool_config.sink = config_.sink;
-  pool_ = std::make_unique<NodePool>(pool_config, poller_);
+  pool_ = std::make_unique<NodePool>(pool_config, poller_, metrics_);
   for (const NodeEndpoint& endpoint : config_.nodes) JoinNode(endpoint);
 
   {
@@ -140,10 +141,10 @@ const char* Router::PolicyName() const {
 Router::Stats Router::GetStats() const {
   Stats stats;
   stats.accepted = accepted_.load(std::memory_order_relaxed);
-  stats.routed = routed_.load(std::memory_order_relaxed);
-  stats.replies = replies_.load(std::memory_order_relaxed);
-  stats.retries = retries_.load(std::memory_order_relaxed);
-  stats.no_node = no_node_.load(std::memory_order_relaxed);
+  stats.routed = metrics_.routed->Value();
+  stats.replies = metrics_.replies->Value();
+  stats.retries = metrics_.retries->Value();
+  stats.no_node = metrics_.no_node->Value();
   return stats;
 }
 
@@ -170,8 +171,7 @@ void Router::Loop() {
     // A failure ends the process: the books no longer balance, so no reply
     // the router would send afterwards can be trusted.
     ARLO_CHECK(accepted_.load(std::memory_order_relaxed) ==
-               replies_.load(std::memory_order_relaxed) +
-                   no_node_.load(std::memory_order_relaxed) +
+               metrics_.replies->Value() + metrics_.no_node->Value() +
                    pending_.size());
     inflight_.store(pending_.size(), std::memory_order_relaxed);
   }
@@ -377,14 +377,7 @@ void Router::FlushPeers() {
                std::string("write failed: ") + std::strerror(errno));
       continue;
     }
-    if (dirty.frames == 0) continue;
-    routed_.fetch_add(static_cast<std::uint64_t>(dirty.frames),
-                      std::memory_order_relaxed);
-    pool_->NoteRouted(dirty.node, dirty.frames);
-    if (config_.sink) {
-      config_.sink->RecordClusterRouted(
-          dirty.node, static_cast<std::uint64_t>(dirty.frames));
-    }
+    if (dirty.frames > 0) pool_->NoteRouted(dirty.node, dirty.frames);
   }
   dirty_nodes_.clear();
   for (const int fd : dirty_clients_) {
@@ -402,11 +395,9 @@ void Router::OnNodeReply(int node, const net::Reply& reply) {
   if (it == pending_.end() || it->second.node != node) return;
   const PendingRoute pending = std::move(it->second);
   pending_.erase(it);
-  pool_->Release(node, reply.service_ns);
-  replies_.fetch_add(1, std::memory_order_relaxed);
   const std::int64_t recv_ns = NowNs();
   const std::int64_t e2e_ns = recv_ns - pending.first_sent_ns;
-  if (config_.sink) config_.sink->RecordClusterReply(node, e2e_ns);
+  pool_->Release(node, reply.service_ns, e2e_ns);
   net::Reply out = reply;
   out.id = pending.client_id;
   out.request_id = pending.client_request_id;
@@ -458,8 +449,7 @@ void Router::NodeDown(int node, std::string reason) {
     orphaned.emplace_back(request_id, pending.attempts);
   }
   for (const auto& [request_id, attempts] : orphaned) {
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    if (config_.sink) config_.sink->RecordClusterRetry();
+    metrics_.retries->Add();
     ParkForRetry(request_id, attempts);
   }
 }
@@ -482,8 +472,7 @@ void Router::Shed(std::uint64_t request_id) {
   auto it = pending_.find(request_id);
   const PendingRoute pending = std::move(it->second);
   pending_.erase(it);
-  no_node_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.sink) config_.sink->RecordClusterNoNode();
+  metrics_.no_node->Add();
   net::Reply reply;
   reply.id = pending.client_id;
   reply.request_id = pending.client_request_id;

@@ -25,8 +25,9 @@
 // request never waits on a batch.  Three things stay off the loop because
 // they block: the pool's prober (HTTP probes), the admin plane, and the
 // connect of JoinNode.  They reach the loop through one mailbox drained on
-// wake.  GetStats, Pool().Status() and WriteStatusJson read counters the
-// loop publishes and are safe from any thread.
+// wake.  GetStats, Pool().Status() and WriteStatusJson read the
+// ClusterMetrics and the atomics the loop publishes and are safe from any
+// thread.
 #pragma once
 
 #include <atomic>
@@ -102,6 +103,7 @@ class Router {
   /// One JSON object: router totals plus a per-node array.
   void WriteStatusJson(json::Writer& w) const;
 
+  /// Built from Metrics(), plus the loop's accepted count.
   struct Stats {
     std::uint64_t accepted = 0;   ///< submits read off client sockets
     std::uint64_t routed = 0;     ///< successful forwards (incl. re-routes)
@@ -110,6 +112,10 @@ class Router {
     std::uint64_t no_node = 0;    ///< kRejectNoNode sheds
   };
   Stats GetStats() const;
+
+  /// The arlo_cluster_* family: on the sink's registry, or on the router's
+  /// own without a sink.
+  const ClusterMetrics& Metrics() const { return metrics_; }
 
   NodePool& Pool() { return *pool_; }
   const RouterConfig& Config() const { return config_; }
@@ -191,6 +197,8 @@ class Router {
   int OnLoop(const std::function<int()>& fn, int stopped);
 
   RouterConfig config_;
+  telemetry::MetricsRegistry own_registry_;  ///< used without a sink
+  ClusterMetrics metrics_;
   std::unique_ptr<RoutingPolicy> policy_;
   net::Poller poller_;
   net::WakePipe wake_;
@@ -213,12 +221,8 @@ class Router {
   std::vector<std::function<void()>> mailbox_;  // guarded by mailbox_mu_
   LoopState loop_state_ = LoopState::kIdle;     // guarded by mailbox_mu_
 
-  // --- published by the loop, read anywhere ------------------------------
+  // --- published by the loop, read anywhere (with metrics_) --------------
   std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> routed_{0};
-  std::atomic<std::uint64_t> replies_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> no_node_{0};
   std::atomic<std::uint64_t> inflight_{0};  ///< pending-table size
 
   std::thread loop_;  // last: it uses every member above

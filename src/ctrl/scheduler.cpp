@@ -22,10 +22,42 @@ std::int64_t SteadyNowNs() {
 
 }  // namespace
 
+CtrlMetrics::CtrlMetrics(telemetry::MetricsRegistry& registry)
+    : scrapes(registry.GetCounter(
+          "arlo_ctrl_scrapes_total",
+          "Cluster Runtime Scheduler scrape rounds completed")),
+      scrape_failures(registry.GetCounter(
+          "arlo_ctrl_scrape_failures_total",
+          "Individual nodes unreachable during a scrape round")),
+      replans(registry.GetCounter(
+          "arlo_ctrl_replans_total",
+          "Drift gate openings: target cluster allocation re-solved")),
+      replans_skipped(registry.GetCounter(
+          "arlo_ctrl_replans_skipped_total",
+          "Scrape rounds where the KS gate stayed closed (mix within "
+          "threshold)")),
+      deltas_shipped(registry.GetCounter(
+          "arlo_ctrl_deltas_shipped_total",
+          "Per-node allocation deltas shipped via POST /realloc")),
+      deltas_applied(registry.GetCounter("arlo_ctrl_deltas_applied_total",
+                                         "Deltas the node accepted")),
+      deltas_rejected(registry.GetCounter(
+          "arlo_ctrl_deltas_rejected_total",
+          "Deltas the node rejected with 409 (retried after the next "
+          "scrape)")),
+      last_ks_millionths(registry.GetGauge(
+          "arlo_ctrl_last_ks_millionths",
+          "Last two-sample KS drift statistic, in millionths")),
+      solve_ns(registry.GetHistogram(
+          "arlo_ctrl_solve_ns", "Target cluster-allocation solve wall time")),
+      apply_ns(registry.GetHistogram("arlo_ctrl_apply_ns",
+                                     "POST /realloc round-trip wall time")) {}
+
 ClusterScheduler::ClusterScheduler(NodeListFn nodes,
                                    ClusterSchedulerConfig config)
     : nodes_(std::move(nodes)),
       config_(std::move(config)),
+      metrics_(config_.sink ? config_.sink->Registry() : own_registry_),
       demand_(config_.profiles.size(),
               static_cast<std::int64_t>(config_.window_span_s * 1e9)),
       drift_(DriftDetectorConfig{config_.ks_threshold,
@@ -104,12 +136,9 @@ ClusterScheduler::RoundReport ClusterScheduler::RunOnceLocked(bool force) {
   const SimTime sim_now = now_ns - start_ns_;
   demand_.Ingest(scrapes, now_ns);
   report.window_samples = demand_.WindowTotal();
-  ++stats_.rounds;
-  stats_.scrape_failures += static_cast<std::uint64_t>(report.nodes_failed);
-  if (config_.sink != nullptr) {
-    config_.sink->RecordCtrlScrape(report.nodes_reachable,
-                                   report.nodes_failed);
-  }
+  metrics_.scrapes->Add();
+  metrics_.scrape_failures->Add(
+      static_cast<std::uint64_t>(report.nodes_failed));
 
   int total_gpus = 0;
   for (const NodeAllocation& a : allocations) {
@@ -131,12 +160,9 @@ ClusterScheduler::RoundReport ClusterScheduler::RunOnceLocked(bool force) {
     unsettled_rounds_ = 0;
   } else if (++unsettled_rounds_ <= config_.settle_grace_rounds) {
     report.settle_hold = true;
-    ++stats_.settle_holds;
+    ++settle_holds_;
     report.ks = KsStatistic(drift_.Reference(), demand_.Window());
-    stats_.last_ks = report.ks;
-    if (config_.sink != nullptr) {
-      config_.sink->RecordCtrlGate(sim_now, report.ks, false, 0);
-    }
+    RecordGate(sim_now, report.ks, false, 0);
     return report;
   }
 
@@ -149,7 +175,6 @@ ClusterScheduler::RoundReport ClusterScheduler::RunOnceLocked(bool force) {
     decision = drift_.Observe(demand_.Window());
   }
   report.ks = decision.ks;
-  stats_.last_ks = decision.ks;
   // Ships one node's target allocation; returns whether the node applied
   // it (nodes answer 409 mid-rollout — retried by the conformance path).
   const auto ship = [&](const NodeDelta& delta) {
@@ -167,16 +192,14 @@ ClusterScheduler::RoundReport ClusterScheduler::RunOnceLocked(bool force) {
     const std::int64_t apply_ns = SteadyNowNs() - ship_start;
     const bool applied = result.ok && result.status == 200;
     ++report.deltas_shipped;
-    ++stats_.deltas_shipped;
-    if (applied) {
-      ++report.deltas_applied;
-      ++stats_.deltas_applied;
-    } else {
-      ++report.deltas_rejected;
-      ++stats_.deltas_rejected;
-    }
-    if (config_.sink != nullptr) {
-      config_.sink->RecordCtrlDelta(sim_now, delta.node, applied, apply_ns);
+    metrics_.deltas_shipped->Add();
+    ++(applied ? report.deltas_applied : report.deltas_rejected);
+    (applied ? metrics_.deltas_applied : metrics_.deltas_rejected)->Add();
+    metrics_.apply_ns->Record(apply_ns);
+    telemetry::TelemetrySink* sink = config_.sink;
+    if (sink != nullptr && sink->Config().trace_requests) {
+      sink->Tracer().Instant("ctrl_delta", "ctrl", sim_now, delta.node,
+                             {{"applied", applied ? 1 : 0}});
     }
     return applied;
   };
@@ -192,9 +215,7 @@ ClusterScheduler::RoundReport ClusterScheduler::RunOnceLocked(bool force) {
   const bool can_plan = (decision.drifted || confirm_due) &&
                         !allocations.empty() && total_gpus >= 1;
   if (!can_plan) {
-    if (config_.sink != nullptr) {
-      config_.sink->RecordCtrlGate(sim_now, decision.ks, false, 0);
-    }
+    RecordGate(sim_now, decision.ks, false, 0);
     // Conformance: a node that answered 409 to the last plan (a rollout was
     // in flight) would otherwise keep its stale allocation forever — the
     // adopted mix no longer reads as drift.  Re-ship the incumbent to any
@@ -225,15 +246,11 @@ ClusterScheduler::RoundReport ClusterScheduler::RunOnceLocked(bool force) {
   report.warm_started = solved.warm_started;
   report.capped = solved.capped;
   report.solve_ms = solved.solve_seconds * 1e3;
-  ++stats_.replans;
-  stats_.last_solve_ms = report.solve_ms;
-  stats_.last_warm_started = solved.warm_started;
-  stats_.last_capped = solved.capped;
-  if (config_.sink != nullptr) {
-    config_.sink->RecordCtrlGate(
-        sim_now, decision.ks, true,
-        static_cast<std::int64_t>(solved.solve_seconds * 1e9));
-  }
+  last_solve_ms_ = report.solve_ms;
+  last_warm_started_ = solved.warm_started;
+  last_capped_ = solved.capped;
+  RecordGate(sim_now, decision.ks, true,
+             static_cast<std::int64_t>(solved.solve_seconds * 1e9));
   if (!solved.feasible) {
     // Overload: even the largest runtime cannot absorb the mix.  Keep the
     // incumbent deployment; the window keeps accumulating and the next
@@ -257,32 +274,68 @@ ClusterScheduler::RoundReport ClusterScheduler::RunOnceLocked(bool force) {
   // fleet schedules another, one that stood pat closes the loop.
   confirm_pending_ = decision.drifted || target != incumbent_;
   incumbent_ = target;
-  stats_.incumbent = target;
   unsettled_rounds_ = 0;
   drift_.Rebase(demand_.Window());
   demand_.ResetWindow(now_ns);
   return report;
 }
 
+void ClusterScheduler::RecordGate(SimTime now, double ks, bool replanned,
+                                  std::int64_t solve_ns) {
+  last_ks_ = ks;
+  metrics_.last_ks_millionths->Set(static_cast<std::int64_t>(ks * 1e6));
+  if (replanned) {
+    metrics_.replans->Add();
+    metrics_.solve_ns->Record(solve_ns);
+  } else {
+    metrics_.replans_skipped->Add();
+  }
+  telemetry::TelemetrySink* sink = config_.sink;
+  if (sink != nullptr && sink->Config().trace_requests) {
+    sink->Tracer().Instant(
+        "ctrl_gate", "ctrl", now, 0,
+        {{"ks_millionths", static_cast<std::int64_t>(ks * 1e6)},
+         {"replanned", replanned ? 1 : 0}});
+  }
+}
+
+ClusterScheduler::Stats ClusterScheduler::StatsLocked() const {
+  Stats stats;
+  stats.rounds = metrics_.scrapes->Value();
+  stats.scrape_failures = metrics_.scrape_failures->Value();
+  stats.settle_holds = settle_holds_;
+  stats.replans = metrics_.replans->Value();
+  stats.deltas_shipped = metrics_.deltas_shipped->Value();
+  stats.deltas_applied = metrics_.deltas_applied->Value();
+  stats.deltas_rejected = metrics_.deltas_rejected->Value();
+  stats.last_ks = last_ks_;
+  stats.last_solve_ms = last_solve_ms_;
+  stats.last_warm_started = last_warm_started_;
+  stats.last_capped = last_capped_;
+  stats.incumbent = incumbent_;
+  return stats;
+}
+
 ClusterScheduler::Stats ClusterScheduler::GetStats() const {
   std::lock_guard lk(mu_);
-  return stats_;
+  return StatsLocked();
 }
 
 void ClusterScheduler::WriteStatusJson(json::Writer& w) const {
   std::lock_guard lk(mu_);
-  w.BeginObject().Field("rounds", stats_.rounds);
-  w.Field("scrape_failures", stats_.scrape_failures);
-  w.Field("settle_holds", stats_.settle_holds).Field("replans", stats_.replans);
-  w.Key("deltas").BeginObject().Field("shipped", stats_.deltas_shipped);
-  w.Field("applied", stats_.deltas_applied);
-  w.Field("rejected", stats_.deltas_rejected).EndObject();
-  w.Field("last_ks", stats_.last_ks);
-  w.Field("last_solve_ms", stats_.last_solve_ms);
-  w.Field("last_warm_started", stats_.last_warm_started);
-  w.Field("last_capped", stats_.last_capped);
+  const Stats stats = StatsLocked();
+  w.BeginObject().Field("rounds", stats.rounds);
+  w.Field("scrape_failures", stats.scrape_failures);
+  w.Field("settle_holds", stats.settle_holds).Field("replans", stats.replans);
+  w.Key("deltas").BeginObject().Field("shipped", stats.deltas_shipped);
+  w.Field("applied", stats.deltas_applied);
+  w.Field("rejected", stats.deltas_rejected).EndObject();
+  w.Field("last_ks", stats.last_ks);
+  w.Field("last_solve_ms", stats.last_solve_ms);
+  w.Field("last_warm_started", stats.last_warm_started);
+  w.Field("last_capped", stats.last_capped);
   w.Field("window_samples", demand_.WindowTotal());
-  w.Key("incumbent").NumberArray(stats_.incumbent).EndObject();
+  w.Key("incumbent").NumberArray(stats.incumbent).EndObject();
 }
 
 }  // namespace arlo::ctrl

@@ -48,12 +48,31 @@
 #include "ctrl/drift.h"
 #include "ctrl/planner.h"
 #include "runtime/profiler.h"
+#include "telemetry/metrics.h"
 
 namespace arlo::telemetry {
 class TelemetrySink;
 }
 
 namespace arlo::ctrl {
+
+/// The control plane's metric family (arlo_ctrl_*; docs/CONTROL_PLANE.md),
+/// the only copy of these counts.  The scheduler registers it on its sink's
+/// registry (on one it owns without a sink); GetStats reads it back.
+struct CtrlMetrics {
+  explicit CtrlMetrics(telemetry::MetricsRegistry& registry);
+
+  telemetry::Counter* scrapes;          ///< scrape rounds completed
+  telemetry::Counter* scrape_failures;  ///< individual unreachable nodes
+  telemetry::Counter* replans;          ///< gate opened -> target re-solved
+  telemetry::Counter* replans_skipped;  ///< gate closed (or settle hold)
+  telemetry::Counter* deltas_shipped;   ///< POST /realloc deltas sent
+  telemetry::Counter* deltas_applied;   ///< deltas the node accepted
+  telemetry::Counter* deltas_rejected;  ///< 409s (retried after next scrape)
+  telemetry::Gauge* last_ks_millionths;  ///< last KS statistic x 1e6
+  telemetry::LatencyHistogram* solve_ns;  ///< target-allocation solve wall
+  telemetry::LatencyHistogram* apply_ns;  ///< POST /realloc round-trip wall
+};
 
 /// One scrape target: a backend node's admin plane.
 struct CtrlNode {
@@ -128,7 +147,8 @@ class ClusterScheduler {
   /// it is safe to call while running.
   RoundReport RunOnce(bool force = false);
 
-  /// Cumulative counters since construction.
+  /// Cumulative counters since construction (read from Metrics()), and the
+  /// last round's solve.
   struct Stats {
     std::uint64_t rounds = 0;
     std::uint64_t scrape_failures = 0;
@@ -149,19 +169,31 @@ class ClusterScheduler {
   void WriteStatusJson(json::Writer& w) const;
 
   const ClusterSchedulerConfig& Config() const { return config_; }
+  const CtrlMetrics& Metrics() const { return metrics_; }
 
  private:
   void Loop();
   RoundReport RunOnceLocked(bool force);
+  Stats StatsLocked() const;
+  /// Records the drift gate's decision for a round (the ctrl_gate instant).
+  void RecordGate(SimTime now, double ks, bool replanned,
+                  std::int64_t solve_ns);
 
   NodeListFn nodes_;
   ClusterSchedulerConfig config_;
+  telemetry::MetricsRegistry own_registry_;  ///< used without a sink
+  CtrlMetrics metrics_;
 
   mutable std::mutex mu_;  ///< guards everything below + RunOnce vs loop
   ClusterDemandModel demand_;
   DriftDetector drift_;
   std::vector<int> incumbent_;  ///< last shipped cluster target
-  Stats stats_;
+  // The Stats fields with no metric twin:
+  std::uint64_t settle_holds_ = 0;
+  double last_ks_ = 0.0;
+  double last_solve_ms_ = 0.0;
+  bool last_warm_started_ = false;
+  bool last_capped_ = false;
   int unsettled_rounds_ = 0;   ///< consecutive rounds the settle gate held
   bool confirm_pending_ = false;  ///< re-solve once the window is clean
   std::int64_t start_ns_ = 0;  ///< steady-clock ns at construction

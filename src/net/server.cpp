@@ -23,13 +23,64 @@ namespace {
 
 using WallClock = std::chrono::steady_clock;
 
+/// The frontend's metric family (arlo_net_*; docs/NETWORKING.md): the only
+/// copy of these counts.  /metrics exports them and Server::Stats reads
+/// them back.
+struct NetMetrics {
+  explicit NetMetrics(telemetry::MetricsRegistry& registry)
+      : connections_total(registry.GetCounter(
+            "arlo_net_connections_total",
+            "TCP connections accepted by the frontend")),
+        accepted(registry.GetCounter(
+            "arlo_net_accepted_total",
+            "SubmitRequests admitted and handed to the dispatcher")),
+        rejected_rate(registry.GetCounter(
+            "arlo_net_rejected_rate_total",
+            "SubmitRequests rejected by the token-bucket rate limit")),
+        rejected_inflight(registry.GetCounter(
+            "arlo_net_rejected_inflight_total",
+            "SubmitRequests rejected at the inflight cap")),
+        shed_deadline(registry.GetCounter(
+            "arlo_net_shed_deadline_total",
+            "SubmitRequests early-shed: estimated delay exceeded the "
+            "deadline")),
+        shed_class(registry.GetCounter(
+            "arlo_net_shed_class_total",
+            "SubmitRequests shed by a tenant class's overload policy")),
+        bytes_in(registry.GetCounter("arlo_net_bytes_in_total",
+                                     "Bytes read from client sockets")),
+        bytes_out(registry.GetCounter("arlo_net_bytes_out_total",
+                                      "Bytes written to client sockets")),
+        open_connections(registry.GetGauge("arlo_net_open_connections",
+                                           "Currently connected clients")),
+        frontend_overhead_ns(registry.GetHistogram(
+            "arlo_net_frontend_overhead_ns",
+            "Wall ns in the frontend beyond the scaled modeled backend "
+            "latency")) {}
+
+  telemetry::Counter* connections_total;
+  telemetry::Counter* accepted;
+  telemetry::Counter* rejected_rate;
+  telemetry::Counter* rejected_inflight;
+  telemetry::Counter* shed_deadline;
+  telemetry::Counter* shed_class;  ///< class-overload sheds (docs/TENANTS.md)
+  telemetry::Counter* bytes_in;
+  telemetry::Counter* bytes_out;
+  telemetry::Gauge* open_connections;
+  /// Wall-clock ns a request spent in the frontend beyond its (scaled)
+  /// modeled backend latency: socket I/O, framing, the dispatch lock.
+  telemetry::LatencyHistogram* frontend_overhead_ns;
+};
+
 }  // namespace
 
 struct Server::Impl {
   Impl(serving::LiveTestbed& backend, const ServerConfig& config)
       : backend_(backend),
         config_(config),
-        admission_(config.admission) {}
+        admission_(config.admission),
+        metrics_(config.telemetry ? config.telemetry->Registry()
+                                  : own_registry_) {}
 
   serving::LiveTestbed& backend_;
   ServerConfig config_;
@@ -79,8 +130,13 @@ struct Server::Impl {
   std::mutex completions_mu_;  // leaf: pushers hold the dispatch mutex
   std::vector<Completion> completions_;
 
-  mutable std::mutex stats_mu_;  // leaf
-  ServerStats stats_;
+  // --- counts: metrics_ is their only copy -------------------------------
+  telemetry::MetricsRegistry own_registry_;  ///< used without a sink
+  NetMetrics metrics_;
+  // The ServerStats fields with no metric twin; the loop is the one writer.
+  std::atomic<std::uint64_t> replies_sent_{0};
+  std::atomic<std::uint64_t> replies_dropped_{0};
+  std::atomic<std::uint64_t> protocol_errors_{0};
 
   void Start();
   void Stop();
@@ -92,14 +148,13 @@ struct Server::Impl {
   bool FlushConn(Conn& conn);  ///< false: connection died and was closed
   void CloseConn(int fd);
   void HandleSubmit(Conn& conn, const SubmitRequest& submit);
-  void SendReject(Conn& conn, const SubmitRequest& submit, ReplyStatus status);
+  /// Counts a rejected submit on `counter`, traces it, and replies
+  /// `status`.  `code` is the net-reject instant's reason.
+  void Reject(Conn& conn, const SubmitRequest& submit, const Request& request,
+              telemetry::Counter* counter, std::int64_t code,
+              ReplyStatus status);
   void DrainCompletions();
-
-  template <typename Fn>
-  void WithStats(Fn&& fn) {
-    std::lock_guard lock(stats_mu_);
-    fn(stats_);
-  }
+  ServerStats Stats() const;
 };
 
 void Server::Impl::Start() {
@@ -108,8 +163,10 @@ void Server::Impl::Start() {
   if (config_.telemetry) {
     // Node stages only — the router registers the router-side family on its
     // own sink.  Registration is idempotent and costs nothing until a traced
-    // request actually records.
+    // request actually records.  Frontend sheds count in the serving core's
+    // arlo_sheds_total.
     config_.telemetry->EnableStageMetrics(/*include_router=*/false);
+    config_.telemetry->EnableServingMetrics();
   }
   listen_fd_ = ListenTcp(config_.port);
   SetNonBlocking(listen_fd_.Get());
@@ -181,10 +238,9 @@ void Server::Impl::EventLoop() {
     // Conservation: every request the frontend decoded is answered (sent or
     // dropped with its connection) or still pending.  A failure ends the
     // process, as in the router: the books no longer balance.
-    WithStats([&](const ServerStats& s) {
-      ARLO_CHECK(s.accepted + s.TotalRejected() ==
-                 s.replies_sent + s.replies_dropped + pending_.size());
-    });
+    const ServerStats s = Stats();
+    ARLO_CHECK(s.accepted + s.TotalRejected() ==
+               s.replies_sent + s.replies_dropped + pending_.size());
   }
   // Shutdown: drop whatever connections remain.
   std::vector<int> open;
@@ -215,10 +271,13 @@ void Server::Impl::AcceptNew() {
     conn->id = next_conn_id_++;
     conns_.emplace(fd, std::move(conn));
     poller_.Add(fd, /*want_read=*/true, /*want_write=*/false);
-    WithStats([](ServerStats& s) { ++s.connections_accepted; });
+    metrics_.connections_total->Add();
+    const auto open = static_cast<std::int64_t>(conns_.size());
+    metrics_.open_connections->Set(open);
     if (config_.telemetry) {
-      config_.telemetry->RecordNetConnOpened(
-          backend_.Now(), static_cast<std::int64_t>(conns_.size()));
+      config_.telemetry->Tracer().Instant(
+          "conn-open", "net", backend_.Now(),
+          telemetry::TraceRecorder::kControlLane, {{"open", open}});
     }
   }
 }
@@ -238,19 +297,14 @@ void Server::Impl::OnReadable(Conn& conn) {
       CloseConn(fd);  // peer closed, or the read failed
       return;
     }
-    WithStats([&](ServerStats& s) {
-      s.bytes_in += static_cast<std::uint64_t>(n);
-    });
-    if (config_.telemetry) {
-      config_.telemetry->RecordNetBytes(static_cast<std::uint64_t>(n), 0);
-    }
+    metrics_.bytes_in->Add(static_cast<std::uint64_t>(n));
     Frame frame;
     for (;;) {
       const FrameDecoder::Result r = conn.decoder.Next(frame);
       if (r == FrameDecoder::Result::kNeedMore) break;
       if (r == FrameDecoder::Result::kError ||
           frame.type != MsgType::kSubmit) {
-        WithStats([](ServerStats& s) { ++s.protocol_errors; });
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         CloseConn(fd);
         return;
       }
@@ -267,6 +321,7 @@ void Server::Impl::HandleSubmit(Conn& conn, const SubmitRequest& submit) {
   const WallClock::time_point trace_entry =
       traced ? WallClock::now() : WallClock::time_point{};
   const SimTime now = backend_.Now();
+  telemetry::TelemetrySink* sink = config_.telemetry;
   Request request;
   request.id = next_request_id_++;
   request.arrival = now;
@@ -307,61 +362,58 @@ void Server::Impl::HandleSubmit(Conn& conn, const SubmitRequest& submit) {
       pending_.emplace(request.id, pending);
       submissions_.push_back(
           {request, OnDone(request.id, request.tenant_class)});
-      WithStats([](ServerStats& s) { ++s.accepted; });
-      if (config_.telemetry) {
-        config_.telemetry->RecordNetAccepted(request, now);
-        config_.telemetry->RecordTenantAccepted(request.tenant_class);
-      }
+      metrics_.accepted->Add();
+      if (sink) sink->RecordTenantAccepted(request.tenant_class);
       return;
     }
+    // The net-reject reason codes: 1=rate, 2=inflight, 4=deadline,
+    // 5=class-overload (3 was the retired submission-queue-full reject).
     case AdmissionDecision::kRejectRate:
-      WithStats([](ServerStats& s) { ++s.rejected_rate; });
-      if (config_.telemetry) {
-        config_.telemetry->RecordNetRejected(request, now, "rate");
-        config_.telemetry->RecordTenantRejected(request.tenant_class);
-      }
-      SendReject(conn, submit, ReplyStatus::kRejectRate);
+      Reject(conn, submit, request, metrics_.rejected_rate, 1,
+             ReplyStatus::kRejectRate);
+      if (sink) sink->RecordTenantRejected(request.tenant_class);
       return;
     case AdmissionDecision::kRejectInflight:
-      WithStats([](ServerStats& s) { ++s.rejected_inflight; });
-      if (config_.telemetry) {
-        config_.telemetry->RecordNetRejected(request, now, "inflight");
-        config_.telemetry->RecordTenantRejected(request.tenant_class);
-      }
-      SendReject(conn, submit, ReplyStatus::kRejectInflight);
+      Reject(conn, submit, request, metrics_.rejected_inflight, 2,
+             ReplyStatus::kRejectInflight);
+      if (sink) sink->RecordTenantRejected(request.tenant_class);
       return;
     case AdmissionDecision::kShedDeadline:
       // The deadline shed integrates the fault-layer shed path: same
       // counter and trace instant the simulator's deadline shedding emits.
-      WithStats([](ServerStats& s) { ++s.shed_deadline; });
-      if (config_.telemetry) {
-        config_.telemetry->RecordNetRejected(request, now, "deadline");
-        config_.telemetry->RecordShed(request, now);
-      }
-      SendReject(conn, submit, ReplyStatus::kShedDeadline);
+      Reject(conn, submit, request, metrics_.shed_deadline, 4,
+             ReplyStatus::kShedDeadline);
+      if (sink) sink->RecordShed(request, now);
       return;
     case AdmissionDecision::kShedClass:
       // Tenant budget exhausted under overload and the class policy says
       // drop: the explicit best-effort shed, reported through the same
       // shed path as deadline sheds.
-      WithStats([](ServerStats& s) { ++s.shed_class; });
-      if (config_.telemetry) {
-        config_.telemetry->RecordNetRejected(request, now, "class-overload");
-        config_.telemetry->RecordShed(request, now);
-      }
-      SendReject(conn, submit, ReplyStatus::kShedClass);
+      Reject(conn, submit, request, metrics_.shed_class, 5,
+             ReplyStatus::kShedClass);
+      if (sink) sink->RecordShed(request, now);
       return;
   }
 }
 
-void Server::Impl::SendReject(Conn& conn, const SubmitRequest& submit,
-                              ReplyStatus status) {
+void Server::Impl::Reject(Conn& conn, const SubmitRequest& submit,
+                          const Request& request, telemetry::Counter* counter,
+                          std::int64_t code, ReplyStatus status) {
+  counter->Add();
+  telemetry::TelemetrySink* sink = config_.telemetry;
+  if (sink && sink->Config().trace_requests) {
+    sink->Tracer().Instant("net-reject", "net", request.arrival,
+                           telemetry::TraceRecorder::kControlLane,
+                           {{"id", static_cast<std::int64_t>(request.id)},
+                            {"length", request.length},
+                            {"reason", code}});
+  }
   Reply reply;
   reply.id = submit.id;
   reply.request_id = submit.request_id;
   reply.status = status;
   EncodeReply(reply, conn.out);
-  WithStats([](ServerStats& s) { ++s.replies_sent; });
+  replies_sent_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool Server::Impl::FlushConn(Conn& conn) {
@@ -370,14 +422,7 @@ bool Server::Impl::FlushConn(Conn& conn) {
     CloseConn(conn.fd.Get());
     return false;
   }
-  if (n > 0) {
-    WithStats([&](ServerStats& s) {
-      s.bytes_out += static_cast<std::uint64_t>(n);
-    });
-    if (config_.telemetry) {
-      config_.telemetry->RecordNetBytes(0, static_cast<std::uint64_t>(n));
-    }
-  }
+  if (n > 0) metrics_.bytes_out->Add(static_cast<std::uint64_t>(n));
   return true;
 }
 
@@ -386,9 +431,12 @@ void Server::Impl::CloseConn(int fd) {
   if (it == conns_.end()) return;
   poller_.Remove(fd);
   conns_.erase(it);  // ScopedFd closes the socket
+  const auto open = static_cast<std::int64_t>(conns_.size());
+  metrics_.open_connections->Set(open);
   if (config_.telemetry) {
-    config_.telemetry->RecordNetConnClosed(
-        backend_.Now(), static_cast<std::int64_t>(conns_.size()));
+    config_.telemetry->Tracer().Instant("conn-close", "net", backend_.Now(),
+                                        telemetry::TraceRecorder::kControlLane,
+                                        {{"open", open}});
   }
 }
 
@@ -419,7 +467,7 @@ void Server::Impl::DrainCompletions() {
     auto cit = conns_.find(pending.conn_fd);
     if (cit == conns_.end() || cit->second->id != pending.conn_id) {
       // Connection gone: drop the reply, the work still counted.
-      WithStats([](ServerStats& s) { ++s.replies_dropped; });
+      replies_dropped_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     Conn& conn = *cit->second;
@@ -464,19 +512,17 @@ void Server::Impl::DrainCompletions() {
       }
     }
     EncodeReply(reply, conn.out);
-    WithStats([](ServerStats& s) { ++s.replies_sent; });
-    if (config_.telemetry) {
-      // Frontend overhead: wall time spent in the server beyond the
-      // (scaled) modeled latency the backend charged the request.
-      const auto wall_in_server =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              wall_now - pending.recv_wall)
-              .count();
-      const std::int64_t modeled_wall = static_cast<std::int64_t>(
-          static_cast<double>(record.Latency()) * time_scale);
-      config_.telemetry->RecordNetFrontendOverhead(
-          std::max<std::int64_t>(0, wall_in_server - modeled_wall));
-    }
+    replies_sent_.fetch_add(1, std::memory_order_relaxed);
+    // Frontend overhead: wall time spent in the server beyond the (scaled)
+    // modeled latency the backend charged the request.
+    const auto wall_in_server =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            wall_now - pending.recv_wall)
+            .count();
+    const std::int64_t modeled_wall = static_cast<std::int64_t>(
+        static_cast<double>(record.Latency()) * time_scale);
+    metrics_.frontend_overhead_ns->Record(
+        std::max<std::int64_t>(0, wall_in_server - modeled_wall));
   }
   for (Conn* conn : touched) FlushConn(*conn);
 }
@@ -494,9 +540,22 @@ std::uint16_t Server::Port() const { return impl_->port_; }
 
 void Server::Stop() { impl_->Stop(); }
 
-ServerStats Server::Stats() const {
-  std::lock_guard lock(impl_->stats_mu_);
-  return impl_->stats_;
+ServerStats Server::Impl::Stats() const {
+  ServerStats s;
+  s.connections_accepted = metrics_.connections_total->Value();
+  s.accepted = metrics_.accepted->Value();
+  s.rejected_rate = metrics_.rejected_rate->Value();
+  s.rejected_inflight = metrics_.rejected_inflight->Value();
+  s.shed_deadline = metrics_.shed_deadline->Value();
+  s.shed_class = metrics_.shed_class->Value();
+  s.replies_sent = replies_sent_.load(std::memory_order_relaxed);
+  s.replies_dropped = replies_dropped_.load(std::memory_order_relaxed);
+  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
+  s.bytes_in = metrics_.bytes_in->Value();
+  s.bytes_out = metrics_.bytes_out->Value();
+  return s;
 }
+
+ServerStats Server::Stats() const { return impl_->Stats(); }
 
 }  // namespace arlo::net

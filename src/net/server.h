@@ -25,7 +25,13 @@
 // completion callbacks.  Lock order: dispatch mutex -> completions mutex.
 // The event loop takes the dispatch mutex (inside SubmitAll) without holding
 // any server lock; the executor thread takes the completions mutex (leaf)
-// while holding the dispatch mutex; the stats mutex is a leaf.
+// while holding the dispatch mutex.
+//
+// Counts: the server's arlo_net_* metrics are registered on its sink's
+// registry (on one it owns without a sink) and are the only copy of the
+// counts they name; Stats() reads them back, plus three loop-written
+// atomics for the fields with no metric (replies sent and dropped,
+// protocol errors).
 //
 // Backpressure: the admission controller's inflight cap rejects explicitly,
 // and beyond it TCP flow control pushes back on senders while the loop is

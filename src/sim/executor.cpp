@@ -23,6 +23,7 @@ ExecutorCore::ExecutorCore(Scheme& scheme, const ExecutorConfig& config,
     owned_policy_ = batch::MakeBatchPolicy("greedy");
     policy_ = owned_policy_.get();
   }
+  if (config_.telemetry) config_.telemetry->EnableServingMetrics();
 }
 
 SimTime ExecutorCore::Now() const { return host_.Now(); }

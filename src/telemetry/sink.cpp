@@ -11,6 +11,14 @@ TelemetrySink::TelemetrySink(TelemetryConfig config)
     : config_(config),
       registry_(config.concurrency),
       tracer_(config.run_id, config.max_trace_events) {
+  trace_dropped_ = registry_.GetCounter(
+      "arlo_trace_dropped_total",
+      "Trace events evicted oldest-first because the recorder buffer was at "
+      "max_trace_events (silent truncation made visible)");
+}
+
+void TelemetrySink::EnableServingMetrics() {
+  if (serving_.enqueued != nullptr) return;
   serving_.enqueued = registry_.GetCounter(
       "arlo_requests_enqueued_total", "Requests that arrived at the frontend");
   serving_.completed = registry_.GetCounter(
@@ -68,32 +76,6 @@ TelemetrySink::TelemetrySink(TelemetryConfig config)
       "Wall-clock cost of one scheduling decision (Fig. 9 quantity)");
   serving_.allocation_solve_ns = registry_.GetHistogram(
       "arlo_allocation_solve_ns", "Wall-clock cost of one allocation solve");
-  net_.connections_total = registry_.GetCounter(
-      "arlo_net_connections_total", "TCP connections accepted by the frontend");
-  net_.accepted = registry_.GetCounter(
-      "arlo_net_accepted_total",
-      "SubmitRequests admitted and handed to the dispatcher");
-  net_.rejected_rate = registry_.GetCounter(
-      "arlo_net_rejected_rate_total",
-      "SubmitRequests rejected by the token-bucket rate limit");
-  net_.rejected_inflight = registry_.GetCounter(
-      "arlo_net_rejected_inflight_total",
-      "SubmitRequests rejected at the inflight cap");
-  net_.shed_deadline = registry_.GetCounter(
-      "arlo_net_shed_deadline_total",
-      "SubmitRequests early-shed: estimated delay exceeded the deadline");
-  net_.shed_class = registry_.GetCounter(
-      "arlo_net_shed_class_total",
-      "SubmitRequests shed by a tenant class's overload policy");
-  net_.bytes_in = registry_.GetCounter(
-      "arlo_net_bytes_in_total", "Bytes read from client sockets");
-  net_.bytes_out = registry_.GetCounter(
-      "arlo_net_bytes_out_total", "Bytes written to client sockets");
-  net_.open_connections = registry_.GetGauge(
-      "arlo_net_open_connections", "Currently connected clients");
-  net_.frontend_overhead_ns = registry_.GetHistogram(
-      "arlo_net_frontend_overhead_ns",
-      "Wall ns in the frontend beyond the scaled modeled backend latency");
   batch_.batches_formed = registry_.GetCounter(
       "arlo_batches_formed_total", "Batches formed and launched by executors");
   batch_.batch_timeouts = registry_.GetCounter(
@@ -131,104 +113,6 @@ TelemetrySink::TelemetrySink(TelemetryConfig config)
       "arlo_gen_ttft_ns", "Arrival to first output token (time-to-first-token)");
   gen_.itl_ns = registry_.GetHistogram(
       "arlo_gen_itl_ns", "Per-token inter-token latency of decode steps");
-  cluster_.routed = registry_.GetCounter(
-      "arlo_cluster_routed_total",
-      "SubmitRequests forwarded to a backend node by the router");
-  cluster_.replies = registry_.GetCounter(
-      "arlo_cluster_replies_total", "Backend replies relayed to clients");
-  cluster_.retries = registry_.GetCounter(
-      "arlo_cluster_retries_total",
-      "In-flight requests re-routed after their node died");
-  cluster_.no_node = registry_.GetCounter(
-      "arlo_cluster_no_node_total",
-      "Requests explicitly shed because no backend node was routable");
-  cluster_.evictions = registry_.GetCounter(
-      "arlo_cluster_evictions_total", "Nodes evicted on probe failure");
-  cluster_.joins = registry_.GetCounter(
-      "arlo_cluster_joins_total", "Nodes joined into the pool");
-  cluster_.drains = registry_.GetCounter(
-      "arlo_cluster_drains_total", "Graceful node drains initiated");
-  cluster_.probe_failures = registry_.GetCounter(
-      "arlo_cluster_probe_failures_total",
-      "Individual failed admin-plane probes (N consecutive evict a node)");
-  cluster_.nodes_routable = registry_.GetGauge(
-      "arlo_cluster_nodes_routable", "Backend nodes accepting new routes");
-  cluster_.inflight = registry_.GetGauge(
-      "arlo_cluster_inflight",
-      "Router-side in-flight requests across all nodes");
-  cluster_.route_latency_ns = registry_.GetHistogram(
-      "arlo_cluster_route_latency_ns",
-      "Submit forwarded to final reply, as seen by the router");
-  ctrl_.scrapes = registry_.GetCounter(
-      "arlo_ctrl_scrapes_total",
-      "Cluster Runtime Scheduler scrape rounds completed");
-  ctrl_.scrape_failures = registry_.GetCounter(
-      "arlo_ctrl_scrape_failures_total",
-      "Individual nodes unreachable during a scrape round");
-  ctrl_.replans = registry_.GetCounter(
-      "arlo_ctrl_replans_total",
-      "Drift gate openings: target cluster allocation re-solved");
-  ctrl_.replans_skipped = registry_.GetCounter(
-      "arlo_ctrl_replans_skipped_total",
-      "Scrape rounds where the KS gate stayed closed (mix within threshold)");
-  ctrl_.deltas_shipped = registry_.GetCounter(
-      "arlo_ctrl_deltas_shipped_total",
-      "Per-node allocation deltas shipped via POST /realloc");
-  ctrl_.deltas_applied = registry_.GetCounter(
-      "arlo_ctrl_deltas_applied_total", "Deltas the node accepted");
-  ctrl_.deltas_rejected = registry_.GetCounter(
-      "arlo_ctrl_deltas_rejected_total",
-      "Deltas the node rejected with 409 (retried after the next scrape)");
-  ctrl_.last_ks_millionths = registry_.GetGauge(
-      "arlo_ctrl_last_ks_millionths",
-      "Last two-sample KS drift statistic, in millionths");
-  ctrl_.solve_ns = registry_.GetHistogram(
-      "arlo_ctrl_solve_ns", "Target cluster-allocation solve wall time");
-  ctrl_.apply_ns = registry_.GetHistogram(
-      "arlo_ctrl_apply_ns", "POST /realloc round-trip wall time");
-  trace_dropped_ = registry_.GetCounter(
-      "arlo_trace_dropped_total",
-      "Trace events evicted oldest-first because the recorder buffer was at "
-      "max_trace_events (silent truncation made visible)");
-}
-
-void TelemetrySink::RecordCtrlScrape(int ok, int failed) {
-  ctrl_.scrapes->Add();
-  if (failed > 0) {
-    ctrl_.scrape_failures->Add(static_cast<std::uint64_t>(failed));
-  }
-  (void)ok;
-}
-
-void TelemetrySink::RecordCtrlGate(SimTime now, double ks, bool replanned,
-                                   std::int64_t solve_wall_ns) {
-  ctrl_.last_ks_millionths->Set(static_cast<std::int64_t>(ks * 1e6));
-  if (replanned) {
-    ctrl_.replans->Add();
-    ctrl_.solve_ns->Record(solve_wall_ns);
-  } else {
-    ctrl_.replans_skipped->Add();
-  }
-  if (config_.trace_requests) {
-    tracer_.Instant("ctrl_gate", "ctrl", now, 0,
-                    {{"ks_millionths", static_cast<std::int64_t>(ks * 1e6)},
-                     {"replanned", replanned ? 1 : 0}});
-  }
-}
-
-void TelemetrySink::RecordCtrlDelta(SimTime now, int node, bool applied,
-                                    std::int64_t apply_wall_ns) {
-  ctrl_.deltas_shipped->Add();
-  if (applied) {
-    ctrl_.deltas_applied->Add();
-  } else {
-    ctrl_.deltas_rejected->Add();
-  }
-  ctrl_.apply_ns->Record(apply_wall_ns);
-  if (config_.trace_requests) {
-    tracer_.Instant("ctrl_delta", "ctrl", now, node,
-                    {{"applied", applied ? 1 : 0}});
-  }
 }
 
 void TelemetrySink::RecordBatchFormed(SimTime now, InstanceId instance,
@@ -465,65 +349,6 @@ void TelemetrySink::RecordShed(const Request& request, SimTime now) {
   for (TelemetryObserver* o : observers_) o->OnShed(request, now);
 }
 
-void TelemetrySink::RecordNetConnOpened(SimTime now,
-                                        std::int64_t open_connections) {
-  net_.connections_total->Add();
-  net_.open_connections->Set(open_connections);
-  tracer_.Instant("conn-open", "net", now, TraceRecorder::kControlLane,
-                  {{"open", open_connections}});
-}
-
-void TelemetrySink::RecordNetConnClosed(SimTime now,
-                                        std::int64_t open_connections) {
-  net_.open_connections->Set(open_connections);
-  tracer_.Instant("conn-close", "net", now, TraceRecorder::kControlLane,
-                  {{"open", open_connections}});
-}
-
-void TelemetrySink::RecordNetBytes(std::uint64_t bytes_in,
-                                   std::uint64_t bytes_out) {
-  if (bytes_in > 0) net_.bytes_in->Add(bytes_in);
-  if (bytes_out > 0) net_.bytes_out->Add(bytes_out);
-}
-
-void TelemetrySink::RecordNetAccepted(const Request& request, SimTime now) {
-  (void)request;
-  (void)now;
-  net_.accepted->Add();
-}
-
-void TelemetrySink::RecordNetRejected(const Request& request, SimTime now,
-                                      const char* reason) {
-  // TraceArg values are numeric, so the reason rides along as a code:
-  // 1=rate, 2=inflight, 4=deadline, 5=class-overload (3 was the retired
-  // submission-queue-full reject).
-  const std::string_view r(reason);
-  std::int64_t code = 0;
-  if (r == "rate") {
-    net_.rejected_rate->Add();
-    code = 1;
-  } else if (r == "inflight") {
-    net_.rejected_inflight->Add();
-    code = 2;
-  } else if (r == "deadline") {
-    net_.shed_deadline->Add();
-    code = 4;
-  } else if (r == "class-overload") {
-    net_.shed_class->Add();
-    code = 5;
-  }
-  if (config_.trace_requests) {
-    tracer_.Instant("net-reject", "net", now, TraceRecorder::kControlLane,
-                    {{"id", static_cast<std::int64_t>(request.id)},
-                     {"length", request.length},
-                     {"reason", code}});
-  }
-}
-
-void TelemetrySink::RecordNetFrontendOverhead(std::int64_t wall_ns) {
-  net_.frontend_overhead_ns->Record(wall_ns);
-}
-
 void TelemetrySink::RecordReplacement(SimTime now, InstanceId victim,
                                       RuntimeId to) {
   serving_.replacements->Add();
@@ -559,73 +384,6 @@ void TelemetrySink::SetClusterGauges(std::int64_t instances,
   serving_.instances->Set(instances);
   serving_.outstanding->Set(outstanding);
   serving_.buffer_depth->Set(buffer_depth);
-}
-
-Counter* TelemetrySink::NodeRoutedCounter(int node) {
-  std::lock_guard<std::mutex> lock(nodes_mu_);
-  const auto index = static_cast<std::size_t>(node);
-  if (node_routed_.size() <= index) node_routed_.resize(index + 1, nullptr);
-  if (node_routed_[index] == nullptr) {
-    node_routed_[index] = registry_.GetCounter(
-        "arlo_cluster_node_routed_total{node=\"" + std::to_string(node) +
-            "\"}",
-        "SubmitRequests routed to one backend node");
-  }
-  return node_routed_[index];
-}
-
-LatencyHistogram* TelemetrySink::NodeRouteLatency(int node) {
-  std::lock_guard<std::mutex> lock(nodes_mu_);
-  const auto index = static_cast<std::size_t>(node);
-  if (node_route_.size() <= index) node_route_.resize(index + 1, nullptr);
-  if (node_route_[index] == nullptr) {
-    node_route_[index] = registry_.GetHistogram(
-        "arlo_cluster_node_route_latency_ns{node=\"" + std::to_string(node) +
-            "\"}",
-        "Per-node submit-to-reply latency as seen by the router");
-  }
-  return node_route_[index];
-}
-
-void TelemetrySink::RecordClusterRouted(int node, std::uint64_t count) {
-  cluster_.routed->Add(count);
-  if (node >= 0) NodeRoutedCounter(node)->Add(count);
-}
-
-void TelemetrySink::RecordClusterReply(int node, std::int64_t wall_ns) {
-  cluster_.replies->Add();
-  cluster_.route_latency_ns->Record(wall_ns);
-  if (node >= 0) NodeRouteLatency(node)->Record(wall_ns);
-}
-
-void TelemetrySink::RecordClusterRetry() { cluster_.retries->Add(); }
-
-void TelemetrySink::RecordClusterNoNode() { cluster_.no_node->Add(); }
-
-void TelemetrySink::RecordClusterEviction(int node) {
-  (void)node;
-  cluster_.evictions->Add();
-}
-
-void TelemetrySink::RecordClusterJoin(int node) {
-  (void)node;
-  cluster_.joins->Add();
-}
-
-void TelemetrySink::RecordClusterDrain(int node) {
-  (void)node;
-  cluster_.drains->Add();
-}
-
-void TelemetrySink::RecordClusterProbeFailure(int node) {
-  (void)node;
-  cluster_.probe_failures->Add();
-}
-
-void TelemetrySink::SetClusterNodeGauges(std::int64_t routable,
-                                         std::int64_t inflight) {
-  cluster_.nodes_routable->Set(routable);
-  cluster_.inflight->Set(inflight);
 }
 
 void TelemetrySink::EnableTenantMetrics(

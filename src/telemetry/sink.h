@@ -1,7 +1,12 @@
 // TelemetrySink: the single object a run threads through the serving stack.
 // It owns the metrics registry, the request-lifecycle tracer, and the
 // periodic time-series snapshotter, and exposes one small method per
-// instrumentation site so call sites stay one-liners.
+// serving-core instrumentation site so call sites stay one-liners.
+//
+// The process tiers around the core (net::Server, cluster::Router and its
+// NodePool, ctrl::ClusterScheduler) register their own metric structs on
+// Registry() and record into them directly; their Stats accessors read the
+// same counters back, so /metrics and Stats cannot disagree.
 //
 // The null sink is a null pointer: every instrumented site is guarded by
 // `if (sink)`, so a run without telemetry does no work and no allocation on
@@ -43,8 +48,8 @@ struct TelemetryConfig {
   std::size_t max_trace_events = 0;
 };
 
-/// Stable pointers to the standard serving metrics, pre-registered at sink
-/// construction so the hot path never performs a registry lookup.
+/// Stable pointers to the standard serving metrics, registered by
+/// EnableServingMetrics so the hot path never performs a registry lookup.
 struct ServingMetrics {
   Counter* enqueued = nullptr;
   Counter* completed = nullptr;
@@ -70,23 +75,6 @@ struct ServingMetrics {
   LatencyHistogram* service_time_ns = nullptr;
   LatencyHistogram* dispatch_cost_ns = nullptr;
   LatencyHistogram* allocation_solve_ns = nullptr;
-};
-
-/// Stable pointers to the TCP-frontend metrics (src/net; see
-/// docs/NETWORKING.md).  Zero-valued in runs without a network frontend.
-struct NetMetrics {
-  Counter* connections_total = nullptr;
-  Counter* accepted = nullptr;
-  Counter* rejected_rate = nullptr;
-  Counter* rejected_inflight = nullptr;
-  Counter* shed_deadline = nullptr;
-  Counter* shed_class = nullptr;  ///< class-overload sheds (docs/TENANTS.md)
-  Counter* bytes_in = nullptr;
-  Counter* bytes_out = nullptr;
-  Gauge* open_connections = nullptr;
-  /// Wall-clock ns a request spent in the frontend beyond its (scaled)
-  /// modeled backend latency: socket I/O, framing, the dispatch lock.
-  LatencyHistogram* frontend_overhead_ns = nullptr;
 };
 
 /// Stable pointers to the dynamic-batching metrics (src/batch; see
@@ -120,39 +108,6 @@ struct GenerativeMetrics {
   Gauge* kv_capacity = nullptr;  ///< aggregate KV capacity (sequences)
   LatencyHistogram* ttft_ns = nullptr;  ///< arrival to first output token
   LatencyHistogram* itl_ns = nullptr;   ///< per-token inter-token latency
-};
-
-/// Stable pointers to the router-tier metrics (src/cluster; see
-/// docs/CLUSTER.md).  Zero-valued in runs without a router.
-struct ClusterMetrics {
-  Counter* routed = nullptr;          ///< submits forwarded to a backend
-  Counter* replies = nullptr;         ///< backend replies relayed to clients
-  Counter* retries = nullptr;         ///< re-routes after a node died mid-flight
-  Counter* no_node = nullptr;         ///< explicit sheds: no routable backend
-  Counter* evictions = nullptr;       ///< nodes evicted on probe failure
-  Counter* joins = nullptr;           ///< nodes joined (incl. resurrections)
-  Counter* drains = nullptr;          ///< graceful drains initiated
-  Counter* probe_failures = nullptr;  ///< individual failed admin probes
-  Gauge* nodes_routable = nullptr;
-  Gauge* inflight = nullptr;  ///< router-side in-flight across all nodes
-  /// Submit forwarded to final reply, as seen by the router (wall ns).
-  LatencyHistogram* route_latency_ns = nullptr;
-};
-
-/// Stable pointers to the cluster control-plane metrics (src/ctrl; see
-/// docs/CONTROL_PLANE.md).  Zero-valued in runs without a cluster Runtime
-/// Scheduler.
-struct CtrlMetrics {
-  Counter* scrapes = nullptr;          ///< scrape rounds completed
-  Counter* scrape_failures = nullptr;  ///< individual unreachable nodes
-  Counter* replans = nullptr;          ///< KS gate opened -> target re-solved
-  Counter* replans_skipped = nullptr;  ///< gate closed: mix within threshold
-  Counter* deltas_shipped = nullptr;   ///< POST /realloc deltas sent
-  Counter* deltas_applied = nullptr;   ///< deltas the node accepted
-  Counter* deltas_rejected = nullptr;  ///< 409s (retried after the next scrape)
-  Gauge* last_ks_millionths = nullptr; ///< last KS statistic x 1e6
-  LatencyHistogram* solve_ns = nullptr;  ///< target-allocation solve wall time
-  LatencyHistogram* apply_ns = nullptr;  ///< POST /realloc round-trip wall time
 };
 
 /// Stable pointers to one tenant class's metrics (src/tenant; see
@@ -200,6 +155,13 @@ class TelemetrySink {
   /// synchronized with the record path: add observers before the run starts.
   void AddObserver(TelemetryObserver* observer);
 
+  /// Registers the serving core's families (Serving, Batch, Gen).  Every
+  /// serving-core Record*/Set* method and Snapshot need it.  Idempotent;
+  /// sim::ExecutorCore and net::Server call it when given a sink, so a sink
+  /// only a router or a ctrl plane records into exports none of them.  Call
+  /// before the run starts, like AddObserver.
+  void EnableServingMetrics();
+
   // --- request lifecycle -------------------------------------------------
   void RecordEnqueue(const Request& request, SimTime now);
   void RecordBuffered(const Request& request, SimTime now);
@@ -245,20 +207,6 @@ class TelemetrySink {
                              int gpus, int diff_moves);
   void RecordAutoscale(SimTime now, bool scale_out, int gpus_after);
 
-  // --- TCP frontend (src/net; see docs/NETWORKING.md) --------------------
-  void RecordNetConnOpened(SimTime now, std::int64_t open_connections);
-  void RecordNetConnClosed(SimTime now, std::int64_t open_connections);
-  void RecordNetBytes(std::uint64_t bytes_in, std::uint64_t bytes_out);
-  /// A SubmitRequest passed admission and is handed to the dispatcher.
-  void RecordNetAccepted(const Request& request, SimTime now);
-  /// A SubmitRequest was rejected; `reason` is one of "rate", "inflight",
-  /// "deadline", "class-overload".  Deadline sheds and class sheds
-  /// additionally flow through RecordShed so the fault-layer shed accounting
-  /// covers the frontend.
-  void RecordNetRejected(const Request& request, SimTime now,
-                         const char* reason);
-  void RecordNetFrontendOverhead(std::int64_t wall_ns);
-
   // --- dynamic batching (src/batch; see docs/BATCHING.md) ----------------
   /// An executor formed and launched a batch of `size` requests on
   /// `instance`.  `useful_tokens`/`computed_tokens` come from
@@ -286,34 +234,6 @@ class TelemetrySink {
   void RecordGenFirstToken(const Request& request, SimTime now,
                            SimDuration ttft);
   void SetGenKvGauges(std::int64_t resident, std::int64_t capacity);
-
-  // --- cluster router (src/cluster; see docs/CLUSTER.md) -----------------
-  /// `count` submits were forwarded to backend `node`; also bumps the
-  /// lazily registered arlo_cluster_node_routed_total{node="i"} counter.
-  void RecordClusterRouted(int node, std::uint64_t count = 1);
-  /// A backend reply was relayed; `wall_ns` spans forward to reply and also
-  /// lands in the per-node route-latency histogram.
-  void RecordClusterReply(int node, std::int64_t wall_ns);
-  void RecordClusterRetry();
-  void RecordClusterNoNode();
-  void RecordClusterEviction(int node);
-  void RecordClusterJoin(int node);
-  void RecordClusterDrain(int node);
-  void RecordClusterProbeFailure(int node);
-  void SetClusterNodeGauges(std::int64_t routable, std::int64_t inflight);
-
-  // --- cluster control plane (src/ctrl; see docs/CONTROL_PLANE.md) -------
-  /// One scrape round finished: `ok` nodes answered, `failed` did not.
-  void RecordCtrlScrape(int ok, int failed);
-  /// The drift gate's decision for this round.  `ks` is the two-sample KS
-  /// statistic; `replanned` is whether it crossed the threshold and the
-  /// target allocation was re-solved (taking `solve_wall_ns`).
-  void RecordCtrlGate(SimTime now, double ks, bool replanned,
-                      std::int64_t solve_wall_ns);
-  /// One per-node delta shipped via POST /realloc.  `applied` is the node's
-  /// verdict; `apply_wall_ns` the HTTP round-trip.
-  void RecordCtrlDelta(SimTime now, int node, bool applied,
-                       std::int64_t apply_wall_ns);
 
   // --- multi-tenant SLO classes (src/tenant; see docs/TENANTS.md) --------
   /// Registers the arlo_tenant_* metric family, one set per class name in
@@ -379,17 +299,12 @@ class TelemetrySink {
   TraceRecorder& Tracer() { return tracer_; }
   const TraceRecorder& Tracer() const { return tracer_; }
   const ServingMetrics& Serving() const { return serving_; }
-  const NetMetrics& Net() const { return net_; }
   const BatchMetrics& Batch() const { return batch_; }
   const GenerativeMetrics& Gen() const { return gen_; }
-  const ClusterMetrics& Cluster() const { return cluster_; }
-  const CtrlMetrics& Ctrl() const { return ctrl_; }
   const TelemetryConfig& Config() const { return config_; }
 
  private:
   Gauge* QueueDepthGauge(RuntimeId level);
-  Counter* NodeRoutedCounter(int node);
-  LatencyHistogram* NodeRouteLatency(int node);
   /// Folds tracer_.Dropped() into arlo_trace_dropped_total (delta since the
   /// last sync) so every export sees the current drop count.
   void SyncTraceDropped() const;
@@ -398,21 +313,14 @@ class TelemetrySink {
   MetricsRegistry registry_;
   TraceRecorder tracer_;
   ServingMetrics serving_;
-  NetMetrics net_;
   BatchMetrics batch_;
   GenerativeMetrics gen_;
-  ClusterMetrics cluster_;
-  CtrlMetrics ctrl_;
 
   std::vector<TelemetryObserver*> observers_;
   std::vector<TenantClassMetrics> tenant_;  // index = class id; empty = off
 
   std::mutex levels_mu_;
   std::vector<Gauge*> queue_depth_;  // index = level
-
-  std::mutex nodes_mu_;
-  std::vector<Counter*> node_routed_;           // index = node
-  std::vector<LatencyHistogram*> node_route_;  // index = node
 
   /// index = Stage value; nullptr = family disabled (EnableStageMetrics).
   std::array<LatencyHistogram*, kNumStages> stage_{};

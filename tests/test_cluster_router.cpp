@@ -258,8 +258,16 @@ TEST(ClusterRouter, ThreeRealBackendsZeroLossAllNodesServe) {
     total_routed += n.routed;
   }
   EXPECT_EQ(total_routed, static_cast<std::int64_t>(t.Size()));
-  EXPECT_EQ(sink.Cluster().routed->Value(), t.Size());
-  EXPECT_EQ(sink.Cluster().replies->Value(), t.Size());
+  // The sink's /metrics text shows the counts GetStats read back.
+  std::ostringstream prom;
+  sink.WritePrometheus(prom);
+  for (const char* family :
+       {"arlo_cluster_routed_total", "arlo_cluster_replies_total"}) {
+    EXPECT_NE(prom.str().find("\n" + std::string(family) + " " +
+                              std::to_string(t.Size()) + "\n"),
+              std::string::npos)
+        << family;
+  }
 
   router.Stop();
 }
@@ -313,8 +321,8 @@ TEST(ClusterRouter, NodeKillWithInflightRequestsLosesNothing) {
   EXPECT_EQ(stats.replies, static_cast<std::uint64_t>(kRequests));
   EXPECT_GT(stats.retries, 0u);
   EXPECT_EQ(stats.no_node, 0u);
-  EXPECT_GT(sink.Cluster().retries->Value(), 0u);
-  EXPECT_EQ(sink.Cluster().evictions->Value(), 1u);
+  EXPECT_GT(router.Metrics().retries->Value(), 0u);
+  EXPECT_EQ(router.Metrics().evictions->Value(), 1u);
 
   const std::vector<NodeStatus> status = router.Pool().Status();
   EXPECT_EQ(status[0].state, NodeState::kEvicted);
@@ -443,7 +451,7 @@ TEST(ClusterRouter, DrainingNodeAnswersWhatWasRoutedBeforeDrained) {
   EXPECT_EQ(stats.replies, static_cast<std::uint64_t>(kHeld));
   EXPECT_EQ(stats.no_node, 1u);
   EXPECT_EQ(stats.retries, 0u);
-  EXPECT_EQ(sink.Cluster().evictions->Value(), 0u);
+  EXPECT_EQ(router.Metrics().evictions->Value(), 0u);
 
   router.Stop();
 }
@@ -500,7 +508,7 @@ TEST(ClusterRouter, FramesBoundForADeadNodeAreReRoutedExactlyOnce) {
   EXPECT_EQ(stats.no_node, 0u);
   EXPECT_EQ(stats.retries, static_cast<std::uint64_t>(kRequests / 2));
   EXPECT_EQ(survivor.Received(), kRequests);
-  EXPECT_EQ(sink.Cluster().evictions->Value(), 1u);
+  EXPECT_EQ(router.Metrics().evictions->Value(), 1u);
   const std::vector<NodeStatus> status = router.Pool().Status();
   EXPECT_EQ(status[0].state, NodeState::kEvicted);
   EXPECT_EQ(status[0].inflight, 0);
@@ -747,8 +755,8 @@ TEST(ClusterRouter, ProbeFailureEvictsAndShedsExplicitly) {
                 "\"down_reason\":\"2 consecutive failed probes\""),
             std::string::npos)
       << status.str();
-  EXPECT_GE(sink.Cluster().probe_failures->Value(), 2u);
-  EXPECT_EQ(sink.Cluster().evictions->Value(), 1u);
+  EXPECT_GE(router.Metrics().probe_failures->Value(), 2u);
+  EXPECT_EQ(router.Metrics().evictions->Value(), 1u);
 
   router.Stop();
 }
@@ -944,8 +952,8 @@ TEST(ClusterRouter, AdminPlaneDrivesLifecycle) {
   EXPECT_NE(join.body.find("{\"joined\":0}"), std::string::npos);
   EXPECT_EQ(router.Pool().Status()[0].state, NodeState::kHealthy);
   EXPECT_EQ(router.Pool().NumNodes(), 2);
-  EXPECT_GE(sink.Cluster().joins->Value(), 3u);  // 2 initial + 1 rejoin
-  EXPECT_EQ(sink.Cluster().drains->Value(), 1u);
+  EXPECT_GE(router.Metrics().joins->Value(), 3u);  // 2 initial + 1 rejoin
+  EXPECT_EQ(router.Metrics().drains->Value(), 1u);
 
   // The resurrected node serves again.
   net::ClientConnection client(router.Port());

@@ -6,6 +6,7 @@
 // one pair per family.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -24,9 +25,9 @@
 namespace arlo {
 namespace {
 
-// The parent commit's exports, pinned before the tier metrics moved out of
-// the sink.  At that commit every sink registered every family, so the node
-// and the router exported the same list apart from lazily registered series.
+// The exports as they were while the sink registered every family itself,
+// so the node and the router exported the same list apart from lazily
+// registered series.  The tests below derive today's lists from these.
 constexpr const char* kParentNodeFamilies = R"(# HELP arlo_allocation_solve_ns Wall-clock cost of one allocation solve
 # TYPE arlo_allocation_solve_ns histogram
 # HELP arlo_allocation_solves_total Periodic ILP/allocation solves
@@ -347,6 +348,34 @@ std::string Joined(const std::vector<std::string>& lines) {
   return out;
 }
 
+/// The family a "# HELP name ..." or "# TYPE name ..." line is about.
+std::string FamilyOf(const std::string& line) {
+  return line.substr(7, line.find(' ', 7) - 7);
+}
+
+/// The lines of `text` whose family `keep` accepts.
+template <typename Keep>
+std::vector<std::string> Filtered(const std::string& text, Keep keep) {
+  std::istringstream in(text);
+  std::vector<std::string> out;
+  for (std::string line; std::getline(in, line);) {
+    if (keep(FamilyOf(line))) out.push_back(line);
+  }
+  return out;
+}
+
+/// Registered by cluster::Router / NodePool and ctrl::ClusterScheduler.
+bool IsRouterTierFamily(const std::string& family) {
+  return family.rfind("arlo_cluster_", 0) == 0 ||
+         family.rfind("arlo_ctrl_", 0) == 0;
+}
+
+/// Registered by the sink itself, or by both a node and a router.
+bool IsSinkFamily(const std::string& family) {
+  return family == "arlo_trace_dropped_total" ||
+         family == "arlo_stage_latency_ns";
+}
+
 struct Exported {
   std::vector<std::string> node;
   std::vector<std::string> router;
@@ -409,10 +438,28 @@ Exported RunNodeAndRouter() {
   return {FamilyLines(node_sink), FamilyLines(router_sink)};
 }
 
-TEST(MetricFamilies, NodeAndRouterExportThePinnedFamilies) {
+// Each tier registers its own families, so a node no longer exports the
+// router's and ctrl's zero-valued families, and a router no longer exports
+// the serving core's (serving, batch, generative) or the frontend's (net).
+TEST(MetricFamilies, EachProcessExportsOnlyItsOwnTiers) {
   const Exported exported = RunNodeAndRouter();
-  EXPECT_EQ(Joined(exported.node), kParentNodeFamilies);
-  EXPECT_EQ(Joined(exported.router), kParentRouterFamilies);
+  EXPECT_EQ(Joined(exported.node),
+            Joined(Filtered(kParentNodeFamilies, [](const std::string& f) {
+              return !IsRouterTierFamily(f);
+            })));
+  EXPECT_EQ(Joined(exported.router),
+            Joined(Filtered(kParentRouterFamilies, [](const std::string& f) {
+              return IsRouterTierFamily(f) || IsSinkFamily(f);
+            })));
+  // What the router dropped is what a node serves.
+  for (const std::string& line :
+       Filtered(kParentRouterFamilies, [](const std::string& f) {
+         return !IsRouterTierFamily(f) && !IsSinkFamily(f);
+       })) {
+    EXPECT_NE(std::find(exported.node.begin(), exported.node.end(), line),
+              exported.node.end())
+        << line;
+  }
 }
 
 }  // namespace

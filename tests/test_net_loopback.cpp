@@ -17,6 +17,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -107,12 +109,19 @@ TEST(NetLoopback, ThousandRequestTraceZeroLoss) {
   const serving::TestbedResult backend = testbed.Finish();
   EXPECT_EQ(backend.records.size(), t.Size());
 
-  // Telemetry saw the same story.
-  EXPECT_EQ(sink.Net().connections_total->Value(), 4u);
-  EXPECT_EQ(sink.Net().accepted->Value(), t.Size());
-  EXPECT_EQ(sink.Net().bytes_in->Value(), stats.bytes_in);
-  EXPECT_EQ(sink.Net().bytes_out->Value(), stats.bytes_out);
-  EXPECT_EQ(sink.Net().open_connections->Value(), 0);
+  // The sink's /metrics text shows the values Stats() read back.
+  std::ostringstream prom;
+  sink.WritePrometheus(prom);
+  for (const std::string& sample :
+       {"arlo_net_connections_total " +
+            std::to_string(stats.connections_accepted),
+        "arlo_net_accepted_total " + std::to_string(stats.accepted),
+        "arlo_net_bytes_in_total " + std::to_string(stats.bytes_in),
+        "arlo_net_bytes_out_total " + std::to_string(stats.bytes_out),
+        std::string("arlo_net_open_connections 0")}) {
+    EXPECT_NE(prom.str().find("\n" + sample + "\n"), std::string::npos)
+        << sample;
+  }
 }
 
 // A connection that sends garbage is dropped without disturbing a healthy
