@@ -21,7 +21,7 @@
 
 using namespace arlo;
 
-int main(int argc, char** argv) {
+static int Run(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   const double rate = flags.GetDouble("rate", 3000.0);
   const SimDuration slo = Millis(flags.GetDouble("slo_ms", 150.0));
@@ -104,3 +104,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return RunCliMain(argc, argv, Run); }

@@ -85,7 +85,7 @@ std::vector<cluster::NodeEndpoint> ParseNodes(const std::string& spec) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int Run(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   const int listen_port = flags.GetInt("listen", 0);
   const int admin_port = flags.GetInt("admin-port", 0);
@@ -227,3 +227,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return RunCliMain(argc, argv, Run); }

@@ -218,7 +218,7 @@ void PrintResult(const serving::TestbedResult& result,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int Run(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   const double seconds = flags.GetDouble("seconds", 3.0);
   const double rate = flags.GetDouble("rate", 150.0);
@@ -589,3 +589,5 @@ int main(int argc, char** argv) {
   if (sink) PrintTelemetrySummary(*sink);
   return 0;
 }
+
+int main(int argc, char** argv) { return RunCliMain(argc, argv, Run); }

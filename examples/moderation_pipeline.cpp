@@ -20,7 +20,7 @@
 
 using namespace arlo;
 
-int main(int argc, char** argv) {
+static int Run(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   const double minutes = flags.GetDouble("minutes", 2.0);
   flags.RejectUnknown();
@@ -77,3 +77,5 @@ int main(int argc, char** argv) {
                "short posts never pay 512-token padding.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return RunCliMain(argc, argv, Run); }

@@ -58,7 +58,7 @@ std::unique_ptr<sim::Scheme> StreamArlo(const runtime::ModelSpec& model,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int Run(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   const double duration = flags.GetDouble("minutes", 1.5) * 60.0;
   flags.RejectUnknown();
@@ -99,3 +99,5 @@ int main(int argc, char** argv) {
             << "duplicate.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return RunCliMain(argc, argv, Run); }

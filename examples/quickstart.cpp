@@ -24,7 +24,7 @@
 
 using namespace arlo;
 
-int main(int argc, char** argv) {
+static int Run(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   const double rate = flags.GetDouble("rate", 800.0);
   const int gpus = static_cast<int>(flags.GetInt("gpus", 8));
@@ -80,3 +80,5 @@ int main(int argc, char** argv) {
                "\"arlo\" for \"st\" / \"dt\" / \"infaas\" to compare schemes.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return RunCliMain(argc, argv, Run); }

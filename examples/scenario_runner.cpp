@@ -70,7 +70,7 @@ std::vector<std::string> SplitCommas(const std::string& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int Run(int argc, char** argv) {
   const CliFlags flags(argc, argv);
 
   trace::TwitterTraceConfig workload;
@@ -236,3 +236,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return RunCliMain(argc, argv, Run); }

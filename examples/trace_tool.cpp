@@ -19,7 +19,7 @@
 
 using namespace arlo;
 
-int main(int argc, char** argv) {
+static int Run(int argc, char** argv) {
   const CliFlags flags(argc, argv);
 
   trace::Trace trace;
@@ -94,3 +94,5 @@ int main(int argc, char** argv) {
   w.Print(std::cout);
   return 0;
 }
+
+int main(int argc, char** argv) { return RunCliMain(argc, argv, Run); }

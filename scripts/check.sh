@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: docs lint, configure, build (warnings are errors), re-run the docs gate with the
 # built binaries (every --flag named in a fenced doc block must be accepted
-# by its binary), run the full test suite, smoke the batching bench
+# by its binary), run the full test suite, check that every example exits 2
+# (not abort) on a rejected flag, smoke the batching bench
 # (--json output must parse with finite p98), smoke the admin plane
 # (live_serving --admin-port: /metrics, /healthz and /statusz must answer
 # with the expected shapes), smoke the cluster router (three real backends
@@ -51,6 +52,30 @@ scripts/check_docs.sh --require-flags
 
 echo "== tests =="
 ctest --test-dir build --output-on-failure
+
+echo "== rejected flags exit 2 with a usage line =="
+# A flag the binary rejects (an unknown one, or one missing the flag it
+# requires) must end the process with status 2, not abort it (134).
+for args in "--help" "--tenant-mix=1,1"; do
+  status=0
+  ./build/examples/live_serving "$args" >/dev/null 2>build/rejected_flag.err ||
+    status=$?
+  if [[ "$status" != 2 ]] || ! grep -q "^usage: " build/rejected_flag.err; then
+    echo "rejected flags: live_serving $args exited $status, want 2" >&2
+    cat build/rejected_flag.err >&2
+    exit 1
+  fi
+done
+for binary in build/examples/*; do
+  [[ -x "$binary" && -f "$binary" ]] || continue
+  status=0
+  "$binary" --check-rejected-flag=1 >/dev/null 2>&1 || status=$?
+  if [[ "$status" != 2 ]]; then
+    echo "rejected flags: $binary exited $status on an unknown flag, want 2" >&2
+    exit 1
+  fi
+done
+echo "rejected flags: every example exits 2"
 
 echo "== bench smoke (ext_batching --json) =="
 ./build/bench/ext_batching --duration=1 --json=build/BENCH_batching.json >/dev/null

@@ -1,6 +1,7 @@
 #include "common/cli.h"
 
 #include <algorithm>
+#include <iostream>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -102,6 +103,18 @@ unsigned ParseTraceSample(const std::string& spec) {
                                 "' (want off, 1, 1/N, or N)");
   }
   return static_cast<unsigned>(n);
+}
+
+int RunCliMain(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::string name = argc > 0 ? argv[0] : "arlo";
+    name = name.substr(name.find_last_of('/') + 1);
+    std::cerr << name << ": " << e.what() << "\nusage: " << name
+              << " [--flag=value ...]\n";
+    return 2;
+  }
 }
 
 }  // namespace arlo

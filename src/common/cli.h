@@ -51,4 +51,9 @@ class CliFlags {
 /// request-id hash.  Throws std::invalid_argument on anything else.
 unsigned ParseTraceSample(const std::string& spec);
 
+/// Runs a binary's main body.  A std::invalid_argument escaping it (a
+/// rejected flag or flag value) prints its message and a usage line to
+/// stderr and ends the process with status 2, instead of aborting.
+int RunCliMain(int argc, char** argv, int (*body)(int, char**));
+
 }  // namespace arlo

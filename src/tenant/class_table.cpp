@@ -1,11 +1,17 @@
 #include "tenant/class_table.h"
 
 #include <cctype>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace arlo::tenant {
 namespace {
+
+/// Bounds an SLO so its nanosecond count, printed to six decimals of a
+/// millisecond, parses back to the same count.
+constexpr double kMaxSloMs = 1e9;
 
 [[noreturn]] void Fail(const std::string& spec, const std::string& why) {
   throw std::invalid_argument(
@@ -79,19 +85,25 @@ TenantClassTable TenantClassTable::Parse(const std::string& spec) {
     }
     double weight = 0.0;
     if (fields[1].empty() || fields[1][0] != 'w' ||
-        !ParseTail(fields[1], 1, weight) || weight < 1.0 ||
-        weight != static_cast<double>(static_cast<int>(weight))) {
+        !ParseTail(fields[1], 1, weight) || !(weight >= 1.0) ||
+        weight > std::numeric_limits<int>::max() ||
+        weight != std::floor(weight)) {
       Fail(spec, "class '" + cls.name + "': bad weight field '" + fields[1] +
                      "', want wN with integer N >= 1");
     }
     cls.weight = static_cast<int>(weight);
     double slo_ms = 0.0;
+    // Rounded to whole nanoseconds: an SLO that rounds to 0 ns is 0.
     if (fields[2].rfind("slo", 0) != 0 ||
-        !ParseTail(fields[2], 3, slo_ms) || slo_ms <= 0.0) {
+        !ParseTail(fields[2], 3, slo_ms) || !(slo_ms * 1e6 >= 0.5)) {
       Fail(spec, "class '" + cls.name + "': bad slo field '" + fields[2] +
                      "', want sloMS with MS > 0");
     }
-    cls.slo = Millis(slo_ms);
+    if (slo_ms > kMaxSloMs) {
+      Fail(spec, "class '" + cls.name + "': slo field '" + fields[2] +
+                     "' exceeds 1e9 ms");
+    }
+    cls.slo = std::llround(slo_ms * 1e6);
     if (fields.size() == 4) {
       if (fields[3] == "reject") {
         cls.shed = ShedPolicy::kReject;
@@ -123,12 +135,13 @@ std::string TenantClassTable::ToString() const {
   std::ostringstream os;
   for (const TenantClass& cls : classes_) {
     if (cls.id > 0) os << ',';
-    os << cls.name << ":w" << cls.weight << ":slo";
-    const double ms = ToMillis(cls.slo);
-    if (ms == static_cast<double>(static_cast<std::int64_t>(ms))) {
-      os << static_cast<std::int64_t>(ms);
-    } else {
-      os << ms;
+    // The exact millisecond count: integer part, then the nanoseconds as
+    // up to six decimals without trailing zeros.
+    os << cls.name << ":w" << cls.weight << ":slo" << cls.slo / 1'000'000;
+    if (const SimDuration frac = cls.slo % 1'000'000; frac != 0) {
+      std::string digits = std::to_string(1'000'000 + frac).substr(1);
+      digits.erase(digits.find_last_not_of('0') + 1);
+      os << '.' << digits;
     }
     if (cls.shed != ShedPolicy::kReject) os << ':' << ShedPolicyName(cls.shed);
   }

@@ -43,11 +43,19 @@ std::vector<std::string> SplitFields(const std::string& spec) {
   }
 }
 
+/// Caps every argument: const and uniform allocate one probability slot per
+/// token length, so an unchecked N would allocate 16 bytes per token.
+constexpr int kMaxDecodeTokens = 65536;
+
 int ParsePositiveInt(const std::string& spec, const std::string& field) {
   try {
     std::size_t used = 0;
     const int v = std::stoi(field, &used);
     if (used != field.size() || v < 1) Bad(spec, "'" + field + "' is not a positive integer");
+    if (v > kMaxDecodeTokens) {
+      Bad(spec, "'" + field + "' exceeds " + std::to_string(kMaxDecodeTokens) +
+                    " tokens");
+    }
     return v;
   } catch (const std::invalid_argument&) {
     Bad(spec, "'" + field + "' is not a positive integer");

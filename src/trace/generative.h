@@ -11,6 +11,8 @@
 //   uniform:LO:HI          integer-uniform in [LO, HI]
 //   lognormal:MED:P98:MAX  truncated lognormal from two quantiles
 //
+// Every argument is an integer in [1, 65536].
+//
 // See docs/GENERATIVE.md.
 #pragma once
 
