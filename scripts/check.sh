@@ -10,7 +10,9 @@
 # replies + no_node == accepted, the dead node's down_reason on /statusz,
 # both survivors routed, GET /fleetz must merge the survivors' statusz, and
 # the Chrome trace dump must nest per-stage spans under each traced
-# request) and the cluster
+# request; every metric family the admin smoke's node and the cluster
+# smoke's router and surviving node export must be named in docs/) and the
+# cluster
 # scaling bench, smoke the tracing bench (sampled dispatch p98 must stay
 # within 10% of tracing-off), smoke the control plane (two frozen backends behind
 # cluster_router --ctrl: the Runtime Scheduler must re-plan, apply at least
@@ -39,6 +41,22 @@ for arg in "$@"; do
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
+
+# Every metric family a saved /metrics body exports must be named, in
+# full, somewhere in docs/*.md.
+check_families_documented() {  # $1 = Prometheus text file
+  python3 - "$1" <<'EOF'
+import glob, re, sys
+docs = "".join(open(p).read() for p in sorted(glob.glob("docs/*.md")))
+families = sorted(set(re.findall(r"^# TYPE (\S+) ",
+                                 open(sys.argv[1]).read(), re.M)))
+missing = [f for f in families
+           if not re.search(r"(?<!\w)" + re.escape(f) + r"(?!\w)", docs)]
+assert families, f"{sys.argv[1]}: no metric families"
+assert not missing, f"{sys.argv[1]}: families missing from docs/: {missing}"
+print(f"docs name all {len(families)} families of {sys.argv[1]}")
+EOF
+}
 
 echo "== docs =="
 scripts/check_docs.sh
@@ -128,6 +146,7 @@ assert "allocation" in status["scheme"], status
 print(f"admin smoke: {len(prom.splitlines())} metric lines, "
       f"{status['live_workers']} live workers")
 EOF
+check_families_documented build/admin_smoke.prom
 
 echo "== bench smoke (obs_overhead --json) =="
 ./build/bench/obs_overhead --duration=1 --json=build/BENCH_obs_smoke.json \
@@ -146,7 +165,8 @@ EOF
 echo "== cluster smoke (3 backends + cluster_router, one SIGKILLed) =="
 rm -f build/cluster_smoke.node1.out build/cluster_smoke.node2.out \
   build/cluster_smoke.node3.out build/cluster_smoke.router.out \
-  build/cluster_smoke.fleetz build/cluster_smoke.trace.json
+  build/cluster_smoke.fleetz build/cluster_smoke.trace.json \
+  build/cluster_smoke.router.prom build/cluster_smoke.node.prom
 ./build/examples/live_serving --listen=0 --admin-port=0 --speed=4 --gpus=2 \
   > build/cluster_smoke.node1.out 2>&1 &
 node1_pid=$!
@@ -218,6 +238,10 @@ curl -sf "http://127.0.0.1:${router_admin}/statusz" \
   > build/cluster_smoke.status
 curl -sf "http://127.0.0.1:${router_admin}/fleetz" \
   > build/cluster_smoke.fleetz
+curl -sf "http://127.0.0.1:${router_admin}/metrics" \
+  > build/cluster_smoke.router.prom
+curl -sf "http://127.0.0.1:${node1_admin}/metrics" \
+  > build/cluster_smoke.node.prom
 kill -INT "$router_pid" "$node1_pid" "$node2_pid" 2>/dev/null || true
 wait "$router_pid" "$node1_pid" "$node2_pid" 2>/dev/null || true
 python3 - <<'EOF'
@@ -255,6 +279,8 @@ assert fleet["stages"].get("prefill", {}).get("count", 0) > 0, fleet["stages"]
 print(f"fleetz smoke: router + {len(nodes)} reachable nodes, "
       f"{fleet['stages']['prefill']['count']} traced prefills")
 EOF
+check_families_documented build/cluster_smoke.router.prom
+check_families_documented build/cluster_smoke.node.prom
 python3 - <<'EOF'
 import json
 events = json.load(open("build/cluster_smoke.trace.json"))["traceEvents"]
