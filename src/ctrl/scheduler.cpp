@@ -193,8 +193,13 @@ ClusterScheduler::RoundReport ClusterScheduler::RunOnceLocked(bool force) {
     const bool applied = result.ok && result.status == 200;
     ++report.deltas_shipped;
     metrics_.deltas_shipped->Add();
-    ++(applied ? report.deltas_applied : report.deltas_rejected);
-    (applied ? metrics_.deltas_applied : metrics_.deltas_rejected)->Add();
+    if (applied) {
+      ++report.deltas_applied;
+      metrics_.deltas_applied->Add();
+    } else {
+      ++report.deltas_rejected;
+      metrics_.deltas_rejected->Add();
+    }
     metrics_.apply_ns->Record(apply_ns);
     telemetry::TelemetrySink* sink = config_.sink;
     if (sink != nullptr && sink->Config().trace_requests) {
