@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -23,10 +24,28 @@ std::string FormatSecondsExact(SimDuration ns) {
   return s;
 }
 
+/// A finite number; NaN and infinities are malformed (NaN would slip past
+/// every range check below).
+double ParseFinite(const std::string& s) {
+  const double v = std::stod(s);
+  if (!std::isfinite(v)) throw std::invalid_argument(s);
+  return v;
+}
+
 /// Seconds string -> nanoseconds, rounded (not truncated) so 9-decimal
 /// canonical output round-trips bit-exactly.
 SimDuration ParseSecondsExact(const std::string& s) {
-  return static_cast<SimDuration>(std::llround(std::stod(s) * 1e9));
+  const double ns = ParseFinite(s) * 1e9;
+  if (std::fabs(ns) >= 9e18) throw std::out_of_range(s);
+  return static_cast<SimDuration>(std::llround(ns));
+}
+
+/// stoul alone would wrap "-1" to the largest id.
+InstanceId ParseInstance(const std::string& s) {
+  if (!s.empty() && s[0] == '-') throw std::invalid_argument(s);
+  const unsigned long v = std::stoul(s);
+  if (v > std::numeric_limits<InstanceId>::max()) throw std::out_of_range(s);
+  return static_cast<InstanceId>(v);
 }
 
 std::string FormatProb(double p) {
@@ -158,14 +177,14 @@ FaultPlan FaultPlan::Parse(const std::string& text) {
         plan.seed = std::stoull(tokens[1]);
       } else if (kw == "drop") {
         auto kv = KeyValues(tokens, 1, line_no, line);
-        plan.dispatch_error_prob = std::stod(Take(kv, "p", line_no, line));
+        plan.dispatch_error_prob = ParseFinite(Take(kv, "p", line_no, line));
         RejectLeftovers(kv, line_no, line);
         if (plan.dispatch_error_prob < 0.0 || plan.dispatch_error_prob > 1.0) {
           Fail(line_no, line, "p must be in [0, 1]");
         }
       } else if (kw == "mtbf") {
         if (tokens.size() != 2) Fail(line_no, line, "usage: mtbf <seconds>");
-        plan.random_crash_mtbf_s = std::stod(tokens[1]);
+        plan.random_crash_mtbf_s = ParseFinite(tokens[1]);
         if (plan.random_crash_mtbf_s <= 0.0) {
           Fail(line_no, line, "mtbf must be > 0");
         }
@@ -173,8 +192,7 @@ FaultPlan FaultPlan::Parse(const std::string& text) {
         auto kv = KeyValues(tokens, 1, line_no, line);
         FaultEvent e;
         e.at = ParseSecondsExact(Take(kv, "t", line_no, line));
-        e.instance = static_cast<InstanceId>(
-            std::stoul(Take(kv, "instance", line_no, line)));
+        e.instance = ParseInstance(Take(kv, "instance", line_no, line));
         if (kw == "crash") {
           e.kind = FaultKind::kCrash;
         } else {
@@ -183,7 +201,7 @@ FaultPlan FaultPlan::Parse(const std::string& text) {
           if (e.duration <= 0) Fail(line_no, line, "dur must be > 0");
         }
         if (kw == "slow") {
-          e.factor = std::stod(Take(kv, "factor", line_no, line));
+          e.factor = ParseFinite(Take(kv, "factor", line_no, line));
           if (e.factor <= 0.0) Fail(line_no, line, "factor must be > 0");
         }
         RejectLeftovers(kv, line_no, line);

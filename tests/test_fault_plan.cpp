@@ -94,6 +94,15 @@ TEST(FaultPlan, ErrorsNameTheOffendingLine) {
                std::invalid_argument);
   EXPECT_THROW(FaultPlan::Parse("crash t=1 bare-token instance=0"),
                std::invalid_argument);
+  // Non-finite numbers and negative or oversized ids used to parse: NaN
+  // slipped past the range checks and "-1" wrapped to the largest id.
+  for (const char* text :
+       {"drop p=nan", "mtbf nan", "mtbf inf", "crash t=nan instance=0",
+        "crash t=1e300 instance=0", "hang t=1 instance=0 dur=inf",
+        "slow t=1 instance=0 dur=1 factor=nan", "crash t=1 instance=-1",
+        "crash t=1 instance=4294967296"}) {
+    EXPECT_THROW(FaultPlan::Parse(text), std::invalid_argument) << text;
+  }
 }
 
 TEST(RetryPolicy, BackoffGrowsAndClamps) {
