@@ -1,9 +1,9 @@
 // NodePool: the router's table of backend nodes.  Each slot holds the
 // node's wire connection (a net::Conn the router's event loop reads and
 // flushes), its lifecycle state, its per-node metric series, and the
-// NodeView the routing policy picks from.  A prober thread polls each node's admin
-// plane (/healthz + /statusz) and hands every result to the loop, which
-// evicts a node after N consecutive failures.  The lifecycle:
+// NodeView the routing policy picks from.  A prober thread polls each
+// node's admin plane (/healthz + /statusz) and hands every result to the
+// loop, which evicts a node after N consecutive failures.  The lifecycle:
 //
 //   kJoining -> kHealthy -> kDraining -> kDrained
 //                  \-----------------------> kEvicted   (probe failures,
@@ -24,8 +24,8 @@
 // not marked otherwise runs on it (or before the loop starts / after it
 // stops).  Status, NumNodes, NumRoutable and TotalInflight read values the
 // loop publishes (atomics and the router's ClusterMetrics) and are safe
-// from any thread.  The prober thread reads
-// admin ports and states only; it never touches a connection.
+// from any thread.  The prober thread reads admin ports and states only;
+// it never touches a connection.
 #pragma once
 
 #include <atomic>
